@@ -45,6 +45,7 @@ from .params import (
     classify,
 )
 from .recursions import (
+    LogBoundReport,
     exact_log_hellinger,
     log_hellinger_bounds,
     recursive_log_bounds,
@@ -117,8 +118,8 @@ def _inputs_dict(args: argparse.Namespace, params: ParamSet, lam=None, **extra) 
     return inputs
 
 
-def _hellinger_payload(params: ParamSet, lam: float, omega0: int, n: int) -> dict:
-    report = log_hellinger_bounds(params, lam, omega0, n)
+def _hellinger_payload(params: ParamSet, lam: float, omega0: int, n: int,
+                       report: LogBoundReport) -> dict:
     payload = {
         "case": report.case.value,
         "method": report.method,
@@ -165,12 +166,14 @@ def _cmd_hellinger(args) -> dict:
              "log_lower": 0.0, "log_upper": 0.0, "method": "horizon-0"}
         )
         return out
-    if args.method == "exact":
-        # raises CaseError (exit code 3) outside NI/SP1
+    if args.method == "exact" and not classify(params, lam).exactly_computable:
+        # raises its CaseError (exit code 3) before computing anything
         exact_log_hellinger(params, lam, args.omega0, args.n)
-    elif args.method == "bounds":
-        recursive_log_bounds(params, lam, args.omega0, args.n)
-    out.update(_hellinger_payload(params, lam, args.omega0, args.n))
+    # recursive_log_bounds raises CaseError (exit code 3) on NI/SP1; elsewhere
+    # its report is the one log_hellinger_bounds returns
+    compute = recursive_log_bounds if args.method == "bounds" else log_hellinger_bounds
+    report = compute(params, lam, args.omega0, args.n)
+    out.update(_hellinger_payload(params, lam, args.omega0, args.n, report))
     return out
 
 

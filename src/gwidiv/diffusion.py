@@ -41,6 +41,9 @@ class SDEParams:
     x0_tilde: float
 
     def __post_init__(self) -> None:
+        for name in ("eta", "kappa_a", "kappa_h", "sigma", "x0_tilde"):
+            if not math.isfinite(getattr(self, name)):
+                raise GWIError(f"{name} must be finite, got {getattr(self, name)}")
         if self.eta < 0.0:
             raise GWIError("immigration drift eta must be >= 0")
         if self.kappa_a < 0.0 or self.kappa_h < 0.0:

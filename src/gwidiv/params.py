@@ -99,6 +99,9 @@ class ParamSet:
     alpha_h: float
 
     def __post_init__(self) -> None:
+        for name in ("beta_a", "beta_h", "alpha_a", "alpha_h"):
+            if not math.isfinite(getattr(self, name)):
+                raise GWIError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("beta_a", "beta_h"):
             if not getattr(self, name) > 0.0:
                 raise GWIError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .params import (
     lambda_weights,
     phi_eval,
     validate_order,
-    varphi_value,
 )
 
 __all__ = [
@@ -123,8 +122,12 @@ def asymptote_pair(params: ParamSet, lam: float) -> CoefficientPair:
     return CoefficientPair(p=p, q=q, role=CoeffRole.ASYMPTOTE, label="asymptote")
 
 
-def _solve_x_max(params: ParamSet, lam: float, tol: float = 1e-12) -> float:
-    """Positive root of phi'(x) = 0 for hump-shaped phi (SP3b); bisection."""
+def _floor_x_max(params: ParamSet, lam: float, tol: float = 1e-12) -> int:
+    """floor of the positive root of phi'(x) = 0 for hump-shaped phi (SP3b).
+
+    Bisection; it stops once floor(lo) == floor(hi), since every later
+    midpoint stays inside [lo, hi] and the floor is then fixed.
+    """
     lo, f_lo = 0.0, phi_eval(params, lam, 0.0).phi_prime
     if f_lo <= 0.0:
         raise GWIError("phi is not increasing at 0; no interior maximum to find")
@@ -134,13 +137,41 @@ def _solve_x_max(params: ParamSet, lam: float, tol: float = 1e-12) -> float:
         hi *= 2.0
         if hi > 1e12:
             raise GWIError("failed to bracket the maximum of phi")
-    while hi - lo > tol:
+    while hi - lo > tol and math.floor(lo) != math.floor(hi):
         mid = 0.5 * (lo + hi)
         if phi_eval(params, lam, mid).phi_prime > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return math.floor(0.5 * (lo + hi))
+
+
+def _phi_lattice(params: ParamSet, lam: float) -> Iterator[tuple[float, float]]:
+    """Yield (phi(x), varphi(x)) for x = 0, 1, 2, ... without end.
+
+    The arithmetic is exactly that of :func:`phi_eval` and
+    :func:`varphi_value`, so every value is bit-identical to theirs; the
+    order check, the lambda weights and the gamma branch are done once.
+    """
+    lam = validate_order(lam)
+    bl, al = lambda_weights(params, lam)
+    lam_h = 1.0 - lam
+    beta_a, beta_h, alpha_a, alpha_h = params.beta_a, params.beta_h, params.alpha_a, params.alpha_h
+    linear = params.gamma == 0.0
+    if linear:
+        p_lin = _geometric_mean(alpha_a, alpha_h, lam) - al
+        q_lin = _geometric_mean(beta_a, beta_h, lam) - bl
+    x = 0.0
+    while True:
+        fa = beta_a * x + alpha_a
+        fh = beta_h * x + alpha_h
+        if fa == 0.0 or fh == 0.0:
+            varphi = 0.0
+        else:
+            varphi = math.exp(lam * math.log(fa) + lam_h * math.log(fh))
+        phi = p_lin + q_lin * x if linear else varphi - (al + bl * x)
+        yield phi, varphi
+        x += 1.0
 
 
 def lattice_argmax_phi(params: ParamSet, lam: float) -> int:
@@ -151,14 +182,13 @@ def lattice_argmax_phi(params: ParamSet, lam: float) -> int:
     """
     if params.beta_a == params.beta_h:
         raise CaseError("phi has no lattice maximum when beta_a == beta_h")
-    k = 0
-    val = phi_eval(params, lam, 0.0).phi
-    while True:
-        nxt = phi_eval(params, lam, float(k + 1)).phi
+    scan = _phi_lattice(params, lam)
+    val, _ = next(scan)
+    for k, (nxt, _) in enumerate(scan):
         if nxt <= val:
             return k
-        k, val = k + 1, nxt
-        if k > 10**7:  # unreachable for valid constellations
+        val = nxt
+        if k >= 10**7:  # unreachable for valid constellations
             raise GWIError("lattice argmax scan did not terminate")
 
 
@@ -172,13 +202,12 @@ def _secant_construction(params: ParamSet, lam: float, case: CaseTag) -> Coeffic
     """
     bl, al = lambda_weights(params, lam)
     if case is CaseTag.SP3C:
-        x_max = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
+        j = math.floor((params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h))
     elif phi_eval(params, lam, 0.0).phi_prime <= 0.0:
         # SP3a/SP3b boundary within float noise: the maximum sits at 0
-        x_max = 0.0
+        j = 0
     else:
-        x_max = _solve_x_max(params, lam)
-    j = math.floor(x_max)
+        j = _floor_x_max(params, lam)
     phi_j = phi_eval(params, lam, float(j)).phi
     phi_j1 = phi_eval(params, lam, float(j + 1)).phi
     if phi_j <= phi_j1:
@@ -288,8 +317,8 @@ def _require_majorant(params: ParamSet, lam: float, pair: CoefficientPair, tol: 
         x_check = 2
     else:
         x_check = max(2, math.ceil((r_t - r) / (s - s_t)) + 1)
-    for x in range(0, x_check + 1):
-        if phi_eval(params, lam, float(x)).phi > r + s * x + tol:
+    for x, (phi, _) in zip(range(x_check + 1), _phi_lattice(params, lam)):
+        if phi > r + s * x + tol:
             raise GWIError(f"{pair.label} pair fails to dominate phi at x={x}")
 
 
@@ -363,27 +392,32 @@ def exact_log_hellinger(params: ParamSet, lam: float, omega0: int, n: int) -> fl
 def sp3d_log_delta(params: ParamSet, lam: float) -> float:
     """log of the SP3d separation constant delta < 1.
 
-    delta = sup over integer x of exp(phi(x) - eps*exp(-varphi(x))) with
-    eps = 1 - exp(phi(0)); the Hellinger integral then obeys
-    H_n <= delta^(floor(n/2)).  Since phi decays linearly, the scan stops
-    once phi drops one unit below the running supremum.
+    delta = sup over integer x of exp(g(x)), g(x) = phi(x) - eps*exp(-varphi(x))
+    with eps = 1 - exp(phi(0)); the Hellinger integral then obeys
+    H_n <= delta^(floor(n/2)).
+
+    g is concave on [0, inf): phi is concave, and -exp(-v) is concave and
+    nondecreasing in the concave varphi.  So once g(x) < best - margin for
+    the running maximum best, no later lattice point exceeds best, and the
+    scan stops (at any x; the crossing point x* plays no part).  The margin
+    1e-9*max(1, varphi(x), |best|) is far above the rounding error of g, a
+    few ulps of max(1, varphi), so best is also the float a scan over every
+    lattice point would return.  The scan gives up after 10^7 points.
     """
     case = classify(params, lam)
     if case is not CaseTag.SP3D:
         raise CaseError(f"separation constant only defined on SP3d, got {case.value}")
-    eps = 1.0 - math.exp(phi_eval(params, lam, 0.0).phi)
-    x_star = round((params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h))
-    best = -math.inf
-    x = 0
-    while True:
-        phi_x = phi_eval(params, lam, float(x)).phi
-        g = phi_x - eps * math.exp(-varphi_value(params, lam, float(x)))
+    scan = _phi_lattice(params, lam)
+    phi_0, varphi_0 = next(scan)
+    eps = 1.0 - math.exp(phi_0)
+    best = phi_0 - eps * math.exp(-varphi_0)
+    for x, (phi_x, varphi_x) in enumerate(scan, start=1):
+        g = phi_x - eps * math.exp(-varphi_x)
         if g > best:
             best = g
-        if x > x_star and phi_x < best - 1.0:
+        elif g < best - 1e-9 * max(1.0, varphi_x, abs(best)):
             return best
-        x += 1
-        if x > 10**7:  # phi decays linearly; only near-degenerate slopes get here
+        if x >= 10**7:
             raise GWIError("separation-constant scan did not terminate")
 
 

@@ -65,6 +65,22 @@ class TestHellinger:
         assert out["log_closed_form_lower"] < out["log_lower"]
         assert out["hellinger_lower"] == pytest.approx(math.exp(out["log_lower"]))
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_forced_method_matches_auto(self, capsys, preset):
+        """--method exact|bounds print the auto report byte for byte where the
+        case allows them, and the case-mismatch error elsewhere."""
+        argv = ("hellinger", "--preset", preset, "--omega0", "3", "--n", "7")
+        code, auto = run_cli(capsys, *argv)
+        assert code == 0
+        exact = json.loads(auto)["log_exact"] is not None
+        for method, allowed in (("exact", exact), ("bounds", not exact)):
+            code, out = run_cli(capsys, *argv, "--method", method)
+            if allowed:
+                assert (code, out) == (0, auto)
+            else:
+                assert code == 3
+                assert json.loads(out)["error"]["kind"] == "case-mismatch"
+
     def test_deep_subnormal_linear_suppression(self, capsys):
         code, out = run_json(
             capsys, "hellinger", "--preset", "sp1-small", "--omega0", "3", "--n", "300"
@@ -167,6 +183,18 @@ class TestErrors:
             "--method", "bounds",
         )
         assert code == 3
+
+    @pytest.mark.parametrize("argv, field", [
+        (("hellinger", "--preset", "a7-sp3a", "--alpha-a", "inf", "--n", "3"), "alpha_a"),
+        (("classify", "--preset", "a7-sp2", "--beta-h", "nan"), "beta_h"),
+        (("diffusion", "--eta", "0.5", "--kappa-a", "inf", "--kappa-h", "1", "--sigma", "1",
+          "--x0-tilde", "1", "--lambda", "0.5", "--t", "1"), "kappa_a"),
+    ])
+    def test_non_finite_input_code(self, capsys, argv, field):
+        code, out = run_json(capsys, *argv)
+        assert code == 5
+        assert out["error"]["kind"] == "invalid-input"
+        assert f"{field} must be finite" in out["error"]["message"]
 
     def test_parse_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -44,6 +44,17 @@ class TestSDEParams:
         with pytest.raises(GWIError):
             SDEParams(eta=0.1, kappa_a=1.0, kappa_h=2.0, sigma=1.0, x0_tilde=0.0)
 
+    @pytest.mark.parametrize("values, field", [
+        ((math.nan, 2.0, 1.0, 1.0, 1.0), "eta"),
+        ((0.5, math.inf, 1.0, 1.0, 1.0), "kappa_a"),
+        ((0.5, 2.0, math.nan, 1.0, 1.0), "kappa_h"),
+        ((0.5, 2.0, 1.0, math.inf, 1.0), "sigma"),
+        ((0.5, 2.0, 1.0, 1.0, math.inf), "x0_tilde"),
+    ])
+    def test_rejects_non_finite_fields(self, values, field):
+        with pytest.raises(GWIError, match=f"{field} must be finite"):
+            SDEParams(*values)
+
     def test_jensen_gap(self, rng):
         """Lambda_lambda > kappa_lambda > 0 for every order and kappa pair."""
         for sde in SDE_GRID:

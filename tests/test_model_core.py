@@ -37,6 +37,17 @@ class TestParamSet:
         with pytest.raises(GWIError):
             ParamSet(1.0, 1.0, 2.0, 2.0)
 
+    @pytest.mark.parametrize("quad, field", [
+        ((np.inf, 0.5, 1.0, 2.0), "beta_a"),
+        ((0.8, np.inf, 1.0, 2.0), "beta_h"),
+        ((0.8, 0.6, np.inf, 2.0), "alpha_a"),
+        ((0.8, 0.6, 2.0, np.nan), "alpha_h"),
+        ((np.nan, 0.6, 0.0, 0.0), "beta_a"),
+    ])
+    def test_rejects_non_finite_fields(self, quad, field):
+        with pytest.raises(GWIError, match=f"{field} must be finite"):
+            ParamSet(*quad)
+
     def test_gamma_zero_exactly_on_linear_families(self):
         assert ParamSet(4, 2, 0, 0).gamma == 0.0
         assert ParamSet(4, 2, 4, 2).gamma == 0.0

@@ -22,9 +22,17 @@ from gwidiv import (
     sp3d_log_delta,
     upper_candidates,
 )
-from gwidiv.params import phi_eval
+from gwidiv.params import GWIError, phi_eval, varphi_value
+from gwidiv.recursions import (
+    CoefficientPair,
+    _floor_x_max,
+    _phi_lattice,
+    _require_majorant,
+    asymptote_pair,
+    lattice_argmax_phi,
+)
 
-from conftest import random_any, random_params
+from conftest import ALL_CASES, random_any, random_params
 
 
 class TestRunRecursion:
@@ -307,3 +315,149 @@ def test_dispatcher_horizon_zero_is_trivial_for_every_case(rng):
         report = log_hellinger_bounds(params, 0.5, 3, 0)
         assert report.log_exact == 0.0
         assert report.log_lower == report.log_upper == 0.0
+
+
+# Reference copies of the lattice scans as they stood before their early
+# stops: the separation scan that runs until phi is one nat below the running
+# maximum, the bisection run to full tolerance, and the per-point phi_eval
+# loops.  The scans in gwidiv.recursions must return exactly what these do.
+
+
+def _ref_sp3d_log_delta(params, lam):
+    eps = 1.0 - math.exp(phi_eval(params, lam, 0.0).phi)
+    x_star = round((params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h))
+    best = -math.inf
+    x = 0
+    while True:
+        phi_x = phi_eval(params, lam, float(x)).phi
+        g = phi_x - eps * math.exp(-varphi_value(params, lam, float(x)))
+        if g > best:
+            best = g
+        if x > x_star and phi_x < best - 1.0:
+            return best, x
+        x += 1
+
+
+def _ref_solve_x_max(params, lam, tol=1e-12):
+    lo, hi = 0.0, 1.0
+    while phi_eval(params, lam, hi).phi_prime > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if phi_eval(params, lam, mid).phi_prime > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _ref_lattice_argmax_phi(params, lam):
+    k = 0
+    val = phi_eval(params, lam, 0.0).phi
+    while True:
+        nxt = phi_eval(params, lam, float(k + 1)).phi
+        if nxt <= val:
+            return k
+        k, val = k + 1, nxt
+
+
+def _ref_majorant_failure(params, lam, pair, tol=1e-9):
+    """The message _require_majorant raises for ``pair``, or None."""
+    bl, al = lambda_weights(params, lam)
+    r, s = pair.p - al, pair.q - bl
+    asym = asymptote_pair(params, lam)
+    r_t, s_t = asym.p - al, asym.q - bl
+    if s < s_t - 1e-12:
+        return f"slope of {pair.label} pair below the asymptote slope"
+    if abs(s - s_t) <= 1e-12:
+        if r < r_t - tol:
+            return f"intercept of {pair.label} pair below the asymptote intercept"
+        x_check = 2
+    else:
+        x_check = max(2, math.ceil((r_t - r) / (s - s_t)) + 1)
+    for x in range(0, x_check + 1):
+        if phi_eval(params, lam, float(x)).phi > r + s * x + tol:
+            return f"{pair.label} pair fails to dominate phi at x={x}"
+    return None
+
+
+def _sp3d(rng, lam, gap):
+    """An SP3d constellation with |beta_a - beta_h| = gap and rates crossing
+    at an integer x* in 1..30.  At gap = 1e-2 phi decays so slowly that the
+    one-nat scan runs for 10^4 steps or more."""
+    while True:
+        beta_h = rng.uniform(0.3, 1.2)
+        beta_a = beta_h + rng.choice((-gap, gap))
+        alpha_a = rng.uniform(0.3, 2.2)
+        alpha_h = alpha_a + float(rng.integers(1, 31)) * (beta_a - beta_h)
+        if alpha_h < 0.05 or beta_a <= 0.0:
+            continue
+        params = ParamSet(beta_a, beta_h, alpha_a, alpha_h)
+        if classify(params, lam) is CaseTag.SP3D:
+            return params
+
+
+class TestLatticeScansMatchReference:
+    LAMS = (0.05, 0.3, 0.5, 0.7, 0.95)
+
+    def test_lattice_evaluator_is_phi_eval(self, rng):
+        for case in ALL_CASES:
+            for lam in self.LAMS:
+                params = random_params(rng, case, lam)
+                for x, (phi, varphi) in zip(range(40), _phi_lattice(params, lam)):
+                    assert phi == phi_eval(params, lam, float(x)).phi
+                    assert varphi == varphi_value(params, lam, float(x))
+
+    def test_separation_scan(self, rng):
+        for lam in self.LAMS:
+            for _ in range(8):
+                for params in (random_params(rng, "SP3d", lam),
+                               _sp3d(rng, lam, rng.uniform(0.05, 0.8))):
+                    assert sp3d_log_delta(params, lam) == _ref_sp3d_log_delta(params, lam)[0]
+
+    def test_separation_scan_slow_decay(self, rng):
+        for lam in (0.2, 0.5, 0.8):
+            params = _sp3d(rng, lam, 1e-2)
+            reference, steps = _ref_sp3d_log_delta(params, lam)
+            assert steps >= 10**4
+            assert sp3d_log_delta(params, lam) == reference
+
+    def test_bisection_floor(self, rng):
+        for lam in self.LAMS:
+            for _ in range(8):
+                params = random_params(rng, "SP3b", lam)
+                assert _floor_x_max(params, lam) == math.floor(_ref_solve_x_max(params, lam))
+
+    def test_lattice_argmax(self, rng):
+        for case in ("SP3a", "SP3b", "SP3c", "SP3d"):
+            for lam in self.LAMS:
+                params = random_params(rng, case, lam)
+                assert lattice_argmax_phi(params, lam) == _ref_lattice_argmax_phi(params, lam)
+
+    def test_majorant_check(self, rng):
+        """Valid candidates pass both checks; lowered ones fail both, alike."""
+        for case in ("SP2", "SP3a", "SP3b", "SP3c"):
+            for lam in self.LAMS:
+                params = random_params(rng, case, lam)
+                for pair in upper_candidates(params, lam):
+                    for dp, dq in ((0.0, 0.0), (-1e-3, 0.0), (-0.05, 0.0), (0.0, -1e-3)):
+                        shifted = CoefficientPair(max(pair.p + dp, 0.0), pair.q + dq,
+                                                  pair.role, pair.label)
+                        expected = _ref_majorant_failure(params, lam, shifted)
+                        try:
+                            _require_majorant(params, lam, shifted)
+                        except GWIError as exc:
+                            assert str(exc) == expected
+                        else:
+                            assert expected is None
+
+    def test_slow_sp3d_refused_by_the_one_nat_scan(self):
+        """phi decays by ~3e-8 per step here, so the one-nat scan passes its
+        10^7-point limit; the concavity stop ends within a few dozen points."""
+        params = ParamSet(2.2305155174112734, 2.2312022549096664,
+                          3.7587422517483704, 3.7484411892724756)
+        log_delta = sp3d_log_delta(params, 0.5)
+        assert math.isfinite(log_delta) and log_delta <= 0.0
+        report = log_hellinger_bounds(params, 0.5, 1, 10)
+        assert report.case is CaseTag.SP3D
+        assert report.log_lower <= report.log_upper <= 0.0
