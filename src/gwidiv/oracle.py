@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .decisions import DecisionConfig
 from .params import GWIError, ParamSet, phi_eval, validate_order, varphi_value
@@ -67,29 +67,67 @@ class TruncationPolicy:
     max_state: int = 5000
 
     def __post_init__(self) -> None:
-        if self.tail_budget <= 0.0:
-            raise GWIError("tail_budget must be > 0")
-        if self.max_state < 10:
-            raise GWIError("max_state must be >= 10")
+        budget, cap = self.tail_budget, self.max_state
+        # NaN fails both comparisons; a bool is an int but not a budget
+        if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not 0.0 < budget < 1.0:
+            raise GWIError(f"tail_budget must be a finite number in (0, 1), got {budget!r}")
+        if isinstance(cap, bool) or not isinstance(cap, int) or cap < 10:
+            raise GWIError(f"max_state must be an integer >= 10, got {cap!r}")
 
 
-def _poisson_cutoff(rate: float, eps: float, max_state: int) -> int:
-    """Smallest y with P(Poisson(rate) > y) <= eps, capped at max_state."""
-    if rate == 0.0:
-        return 0
-    y = poisson.isf(eps, rate)
-    if not np.isfinite(y):
-        # scipy's inverse survival gives nan below ~1e-16; scan the sf instead
-        y = math.ceil(rate + 10.0 * math.sqrt(rate) + 10.0)
-        while poisson.sf(y, rate) > eps and y < max_state:
-            y = 2 * y + 1
-    y = int(y)
-    if y + 1 > max_state:
-        raise GWIError(
-            f"state-space blowup (needed {y + 1} states, cap {max_state}); "
-            "reduce the horizon or loosen the tail budget"
-        )
-    return y
+# The three Poisson helpers repeat the arithmetic of scipy.stats.poisson's
+# pmf, sf and isf (the scipy.special calls behind them), without its
+# argument-checking front end, so the results are the same floats.
+
+
+def _poisson_pmf(k: np.ndarray, mu) -> np.ndarray:
+    """Poisson(mu) probabilities at the integers k (mu broadcasts against k)."""
+    return np.clip(np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), 0.0, 1.0)
+
+
+def _poisson_sf(k: int, mu: float) -> float:
+    """P(Poisson(mu) > k) for an integer k."""
+    if k < 0:
+        return 1.0
+    return min(max(float(pdtrc(k, mu)), 0.0), 1.0)
+
+
+def _poisson_isf(q: float, mu: np.ndarray) -> np.ndarray:
+    """Per rate in mu: the smallest y with P(Poisson(mu) > y) <= q, for q in
+    (0, 1); NaN (or inf) where the float inversion fails, as it does once
+    1 - q rounds to 1."""
+    p = 1.0 - q
+    vals = np.ceil(pdtrik(p, mu))
+    vals1 = np.maximum(vals - 1, 0)
+    return np.where(pdtr(vals1, mu) >= p, vals1, vals)
+
+
+def _poisson_cutoffs(rates: np.ndarray, eps: float, max_state: int) -> list[int]:
+    """Per rate: a y with P(Poisson(rate) > y) <= eps, capped at max_state.
+
+    Where the inversion works, y is the smallest such integer.  Where it
+    fails (eps below ~1e-16), y is the first of y0, 2*y0 + 1, ... (y0 =
+    ceil(rate + 10 sqrt(rate) + 10)) whose tail is at most eps: conservative,
+    but not the smallest.  A zero rate gives 0.  The first rate whose y
+    exceeds the cap raises.
+    """
+    ys = _poisson_isf(eps, rates).tolist()
+    out = []
+    for rate, y in zip(rates.tolist(), ys):
+        if rate == 0.0:
+            y = 0
+        elif not math.isfinite(y):
+            y = math.ceil(rate + 10.0 * math.sqrt(rate) + 10.0)
+            while _poisson_sf(y, rate) > eps and y < max_state:
+                y = 2 * y + 1
+        y = int(y)
+        if y + 1 > max_state:
+            raise GWIError(
+                f"state-space blowup (needed {y + 1} states, cap {max_state}); "
+                "reduce the horizon or loosen the tail budget"
+            )
+        out.append(y)
+    return out
 
 
 def enum_log_hellinger_profile(
@@ -115,17 +153,19 @@ def enum_log_hellinger_profile(
     for _step in range(n):
         live = np.nonzero(weights)[0]
         eps = policy.tail_budget / (max(n, 1) * max(len(live), 1))
+        rates = np.array([varphi_value(params, lam, float(x)) for x in live])
+        totals = [math.exp(phi_eval(params, lam, float(x)).phi) for x in live]
+        cutoffs = _poisson_cutoffs(rates, eps, cap)
+        # one pmf row per live state, each up to the largest cutoff
+        pmf_rows = _poisson_pmf(np.arange(max(cutoffs, default=0) + 1), rates[:, None])
         new_weights = np.zeros(cap + 1)
-        for x in live:
+        for x, rate, total, y_max, pmf in zip(live, rates.tolist(), totals, cutoffs, pmf_rows):
             w = weights[x]
-            rate = varphi_value(params, lam, float(x))
-            total = math.exp(phi_eval(params, lam, float(x)).phi)
             if rate == 0.0:
                 # extinct no-immigration state: kernel is a point mass at 0
                 new_weights[0] += w * total
                 continue
-            y_max = _poisson_cutoff(rate, eps, cap)
-            row = total * poisson.pmf(np.arange(y_max + 1), rate)
+            row = total * pmf[: y_max + 1]
             kept = row.sum()
             trimmed += w * max(total - kept, 0.0)
             new_weights[: y_max + 1] += w * row
@@ -209,33 +249,44 @@ def path_law_atoms(
     drop below the per-step budget; since the Z-weighted hypothesis kernel
     is exactly the alternative kernel, the trimmed alternative mass is
     computable from the Poisson(rate_a) tail and tracked alongside the
-    trimmed hypothesis mass.  Returns (log_z, prob, trimmed_h, trimmed_a,
-    trimmed_logz_mass), the last being the first-overshoot estimate of the
-    trimmed |log Z| mass used by the entropy oracle.
+    trimmed hypothesis mass.  Returns a ``PathLaw``: the atoms' states,
+    log Z_n and P_H-probabilities (sorted by state, then log Z_n), the two
+    trimmed masses and the first-overshoot estimate of the trimmed |log Z|
+    mass used by the entropy oracle.
     """
     if omega0 < 1 or n < 1:
         raise GWIError("need omega0 >= 1 and n >= 1")
-    by_state: dict[int, tuple[np.ndarray, np.ndarray]] = {
-        omega0: (np.zeros(1), np.ones(1))
-    }
+    # the atoms, sorted by state and, within a state, by log Z
+    states = np.full(1, omega0, dtype=np.int64)
+    log_z = np.zeros(1)
+    prob = np.ones(1)
     trimmed_h = 0.0
     trimmed_a = 0.0
     trimmed_logz_mass = 0.0
     for step in range(n):
-        eps = policy.tail_budget / (n * max(len(by_state), 1))
-        collect: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-        for x, (log_zs, probs) in by_state.items():
-            rate_a = params.rate_a(x)
-            rate_h = params.rate_h(x)
+        xs, starts = np.unique(states, return_index=True)
+        ends = [*starts[1:].tolist(), len(states)]
+        eps = policy.tail_budget / (n * len(xs))
+        rates_a, rates_h = params.rate_a(xs), params.rate_h(xs)
+        # a zero hypothesis rate (extinct NI state) has a zero alternative rate
+        cutoffs = _poisson_cutoffs(np.maximum(rates_h, rates_a), eps, policy.max_state)
+        pmf_rows = _poisson_pmf(np.arange(max(cutoffs) + 1), rates_h[:, None])
+        # every expansion as one (next state, atom) block, in state order
+        next_states, next_log_z, next_prob = [], [], []
+        for start, end, rate_a, rate_h, y_max, pmf in zip(
+            starts.tolist(), ends, rates_a.tolist(), rates_h.tolist(), cutoffs, pmf_rows
+        ):
+            log_zs, probs = log_z[start:end], prob[start:end]
             if rate_h == 0.0:
                 # extinct no-immigration state: next state 0 w.p. 1, factor 1
-                collect.setdefault(0, []).append((log_zs, probs))
+                next_states.append(np.zeros(len(probs), dtype=np.int64))
+                next_log_z.append(log_zs)
+                next_prob.append(probs)
                 continue
-            y_max = _poisson_cutoff(max(rate_h, rate_a), eps, policy.max_state)
-            pmf = poisson.pmf(np.arange(y_max + 1), rate_h)
+            pmf = pmf[: y_max + 1]
             mass_h = probs.sum()
             mass_a = float(np.sum(probs * np.exp(log_zs)))
-            sf_a = float(poisson.sf(y_max, rate_a))
+            sf_a = _poisson_sf(y_max, rate_a)
             trimmed_h += mass_h * max(1.0 - pmf.sum(), 0.0)
             trimmed_a += mass_a * sf_a
             base = -(rate_a - rate_h)
@@ -244,25 +295,24 @@ def path_law_atoms(
             # via E[y; y > Y] = rate * sf(Y - 1); later steps are estimated
             # to contribute comparably per remaining generation
             overshoot = (float(np.abs(log_zs).max()) + abs(base)) * sf_a
-            overshoot += abs(log_ratio) * rate_a * float(poisson.sf(y_max - 1, rate_a))
+            overshoot += abs(log_ratio) * rate_a * _poisson_sf(y_max - 1, rate_a)
             trimmed_logz_mass += (n - step) * mass_a * overshoot
-            for y in range(y_max + 1):
-                collect.setdefault(y, []).append(
-                    (log_zs + (base + y * log_ratio), probs * pmf[y])
-                )
-        by_state = {}
-        for y, chunks in collect.items():
-            log_zs = np.concatenate([c[0] for c in chunks])
-            probs = np.concatenate([c[1] for c in chunks])
-            uniq, inverse = np.unique(log_zs, return_inverse=True)
-            merged = np.zeros(len(uniq))
-            np.add.at(merged, inverse, probs)
-            by_state[y] = (uniq, merged)
-    states = np.concatenate(
-        [np.full(len(v[0]), x, dtype=np.int64) for x, v in by_state.items()]
-    )
-    log_z = np.concatenate([v[0] for v in by_state.values()])
-    prob = np.concatenate([v[1] for v in by_state.values()])
+            ys = np.arange(y_max + 1)
+            next_states.append(np.repeat(ys, len(probs)))
+            next_log_z.append((log_zs[None, :] + (base + ys * log_ratio)[:, None]).ravel())
+            next_prob.append((probs[None, :] * pmf[:, None]).ravel())
+        states = np.concatenate(next_states)
+        log_z = np.concatenate(next_log_z)
+        prob = np.concatenate(next_prob)
+        # merge atoms with equal state and bitwise-equal log Z; the sort is
+        # stable, so each merged atom sums its parts in state, then atom order
+        order = np.lexsort((log_z, states))
+        states, log_z, prob = states[order], log_z[order], prob[order]
+        first = np.ones(len(states), dtype=bool)
+        first[1:] = (states[1:] != states[:-1]) | (log_z[1:] != log_z[:-1])
+        merged = np.zeros(np.count_nonzero(first))
+        np.add.at(merged, np.cumsum(first) - 1, prob)
+        states, log_z, prob = states[first], log_z[first], merged
     return PathLaw(
         states=states,
         log_z=log_z,

@@ -4,9 +4,13 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gwidiv
 from gwidiv.cli import PRESETS, main
 
 
@@ -196,6 +200,20 @@ class TestErrors:
         assert out["error"]["kind"] == "invalid-input"
         assert f"{field} must be finite" in out["error"]["message"]
 
+    @pytest.mark.parametrize("budget", ["nan", "inf", "2", "0", "-1e-9"])
+    def test_bad_tail_budget_code(self, capsys, budget):
+        """Such budgets once printed NaN/Infinity (not JSON) and a PASS."""
+        code, out = run_cli(capsys, "verify", "--preset", "a7-sp2", "--n", "2",
+                            f"--tail-budget={budget}")
+        assert code == 5
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["error"]["kind"] == "invalid-input"
+        assert "tail_budget" in payload["error"]["message"]
+
     def test_parse_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["hellinger", "--n", "not-an-int"])
@@ -265,3 +283,14 @@ def test_presets_cover_reference_examples():
         "a2-example", "a3-example", "a4-example", "a5-example",
         "a7-sp2", "a7-sp3a", "a7-sp3b", "a7-sp3c", "ni-small",
     }
+
+
+def test_import_does_not_load_scipy_stats():
+    """The library and its CLI need only scipy.special; scipy.stats alone
+    costs most of a second of start-up."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gwidiv.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, gwidiv, gwidiv.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "False"

@@ -17,10 +17,13 @@ from gwidiv import (
     enum_np_type2,
     enum_relative_entropy,
     mc_log_hellinger,
+    path_law_atoms,
     phi_eval,
+    varphi_value,
 )
+from gwidiv.oracle import _poisson_cutoffs, _poisson_isf
 
-from conftest import random_params
+from conftest import ALL_CASES, random_params
 
 
 def _naive_double_sum(params, lam, omega0, cap=200):
@@ -171,3 +174,203 @@ class TestEntropyOracle:
             params = random_params(rng, "SP1", beta_hi=1.0)
             value, err = enum_relative_entropy(params, 1, 3)
             assert value == pytest.approx(exact_entropy(params, 1, 3), abs=max(10 * err, 1e-6))
+
+
+class TestTruncationPolicy:
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.0, -1e-9, 1.0, 2.0,
+                                        True, "1e-9", None])
+    def test_rejects_bad_tail_budget(self, budget):
+        with pytest.raises(GWIError, match="tail_budget"):
+            TruncationPolicy(tail_budget=budget)
+
+    @pytest.mark.parametrize("cap", [9, 0, -5, 10.0, 5000.5, True, "5000", None])
+    def test_rejects_bad_max_state(self, cap):
+        with pytest.raises(GWIError, match="max_state"):
+            TruncationPolicy(max_state=cap)
+
+    def test_accepts_valid_policies(self):
+        assert TruncationPolicy(tail_budget=0.5, max_state=10).max_state == 10
+        assert TruncationPolicy(tail_budget=1e-300).tail_budget == 1e-300
+
+    def test_budget_above_one_refused_before_enumeration(self):
+        """A budget of 2 once gave log_enum = -inf and crashed the atoms."""
+        params = ParamSet(0.8, 0.6, 2, 1.9)
+        with pytest.raises(GWIError, match="tail_budget"):
+            enum_bayes_risk(params, 2, 2, DecisionConfig(), TruncationPolicy(tail_budget=2.0))
+
+
+# Reference copies of the oracle's Poisson truncation and enumeration as
+# they stood on scipy.stats.poisson: one scalar isf/pmf/sf call per state
+# and a per-state merge with np.unique.  The oracle must return exactly what
+# these do (float.hex for scalars, the bytes of the PathLaw arrays).
+
+
+def _ref_poisson_cutoff(rate, eps, max_state):
+    if rate == 0.0:
+        return 0
+    y = poisson.isf(eps, rate)
+    if not np.isfinite(y):
+        y = math.ceil(rate + 10.0 * math.sqrt(rate) + 10.0)
+        while poisson.sf(y, rate) > eps and y < max_state:
+            y = 2 * y + 1
+    y = int(y)
+    if y + 1 > max_state:
+        raise GWIError(
+            f"state-space blowup (needed {y + 1} states, cap {max_state}); "
+            "reduce the horizon or loosen the tail budget"
+        )
+    return y
+
+
+def _ref_profile(params, lam, omega0, n, policy):
+    cap = policy.max_state
+    weights = np.zeros(cap + 1)
+    weights[omega0] = 1.0
+    trimmed = 0.0
+    out = [(0.0, 0.0)]
+    for _step in range(n):
+        live = np.nonzero(weights)[0]
+        eps = policy.tail_budget / (max(n, 1) * max(len(live), 1))
+        new_weights = np.zeros(cap + 1)
+        for x in live:
+            w = weights[x]
+            rate = varphi_value(params, lam, float(x))
+            total = math.exp(phi_eval(params, lam, float(x)).phi)
+            if rate == 0.0:
+                new_weights[0] += w * total
+                continue
+            y_max = _ref_poisson_cutoff(rate, eps, cap)
+            row = total * poisson.pmf(np.arange(y_max + 1), rate)
+            kept = row.sum()
+            trimmed += w * max(total - kept, 0.0)
+            new_weights[: y_max + 1] += w * row
+        weights = new_weights
+        kept = weights.sum()
+        out.append((float(np.log(kept)), float(trimmed + 1e-12 * kept)))
+    return out
+
+
+def _ref_path_law_atoms(params, omega0, n, policy):
+    by_state = {omega0: (np.zeros(1), np.ones(1))}
+    trimmed_h = trimmed_a = trimmed_logz_mass = 0.0
+    for step in range(n):
+        eps = policy.tail_budget / (n * max(len(by_state), 1))
+        collect = {}
+        for x, (log_zs, probs) in by_state.items():
+            rate_a = params.rate_a(x)
+            rate_h = params.rate_h(x)
+            if rate_h == 0.0:
+                collect.setdefault(0, []).append((log_zs, probs))
+                continue
+            y_max = _ref_poisson_cutoff(max(rate_h, rate_a), eps, policy.max_state)
+            pmf = poisson.pmf(np.arange(y_max + 1), rate_h)
+            mass_h = probs.sum()
+            mass_a = float(np.sum(probs * np.exp(log_zs)))
+            sf_a = float(poisson.sf(y_max, rate_a))
+            trimmed_h += mass_h * max(1.0 - pmf.sum(), 0.0)
+            trimmed_a += mass_a * sf_a
+            base = -(rate_a - rate_h)
+            log_ratio = math.log(rate_a / rate_h)
+            overshoot = (float(np.abs(log_zs).max()) + abs(base)) * sf_a
+            overshoot += abs(log_ratio) * rate_a * float(poisson.sf(y_max - 1, rate_a))
+            trimmed_logz_mass += (n - step) * mass_a * overshoot
+            for y in range(y_max + 1):
+                collect.setdefault(y, []).append(
+                    (log_zs + (base + y * log_ratio), probs * pmf[y])
+                )
+        by_state = {}
+        for y, chunks in collect.items():
+            log_zs = np.concatenate([c[0] for c in chunks])
+            probs = np.concatenate([c[1] for c in chunks])
+            uniq, inverse = np.unique(log_zs, return_inverse=True)
+            merged = np.zeros(len(uniq))
+            np.add.at(merged, inverse, probs)
+            by_state[y] = (uniq, merged)
+    states = np.concatenate(
+        [np.full(len(v[0]), x, dtype=np.int64) for x, v in by_state.items()]
+    )
+    log_z = np.concatenate([v[0] for v in by_state.values()])
+    prob = np.concatenate([v[1] for v in by_state.values()])
+    return states, log_z, prob, trimmed_h, trimmed_a, trimmed_logz_mass
+
+
+def _outcome(fn, *args):
+    """The result of fn(*args), or the message of the GWIError it raises."""
+    try:
+        return fn(*args)
+    except GWIError as exc:
+        return f"GWIError: {exc}"
+
+
+def _hex_profile(profile):
+    if isinstance(profile, str):
+        return profile
+    return [(v.hex(), e.hex()) for v, e in profile]
+
+
+def _law_bytes(law):
+    if isinstance(law, str):
+        return law
+    if not isinstance(law, tuple):
+        law = (law.states, law.log_z, law.prob_h, law.trimmed_h, law.trimmed_a,
+               law.trimmed_logz_mass)
+    *arrays, t_h, t_a, t_logz = law
+    return ([(a.dtype.str, a.tobytes()) for a in arrays]
+            + [float(t).hex() for t in (t_h, t_a, t_logz)])
+
+
+class TestOracleMatchesScipyStatsReference:
+    BUDGETS = (1e-6, 1e-9, 1e-15, 1e-17)
+
+    def _assert_same(self, params, lam, omega0, n_profile, n_atoms, policy):
+        new = _outcome(enum_log_hellinger_profile, params, lam, omega0, n_profile, policy)
+        ref = _outcome(_ref_profile, params, lam, omega0, n_profile, policy)
+        assert _hex_profile(new) == _hex_profile(ref)
+        new = _outcome(path_law_atoms, params, omega0, n_atoms, policy)
+        ref = _outcome(_ref_path_law_atoms, params, omega0, n_atoms, policy)
+        assert _law_bytes(new) == _law_bytes(ref)
+
+    def test_cutoffs(self, rng):
+        rates = np.concatenate([[0.0, 1e-9, 1e-3], rng.uniform(0.01, 60.0, size=40)])
+        for eps in (1e-3, 1e-9, 1e-15, 1e-17, 1e-19):
+            expected = [_ref_poisson_cutoff(rate, eps, 5000) for rate in rates]
+            assert _poisson_cutoffs(rates, eps, 5000) == expected
+        with pytest.raises(GWIError) as excinfo:
+            _poisson_cutoffs(rates, 1e-9, 40)
+        with pytest.raises(GWIError) as ref_excinfo:
+            for rate in rates:
+                _ref_poisson_cutoff(rate, 1e-9, 40)
+        assert str(excinfo.value) == str(ref_excinfo.value)
+
+    def test_tiny_budget_takes_the_scan(self):
+        """Below ~1e-16 the float inversion fails and the sf scan decides."""
+        assert np.isnan(_poisson_isf(1e-17, np.array([3.0]))).all()
+
+    def test_every_case_and_budget(self, rng):
+        for case in ALL_CASES:
+            for budget in self.BUDGETS:
+                lam = float(rng.choice((0.3, 0.5, 0.7)))
+                params = random_params(rng, case, lam, beta_hi=1.0)
+                omega0 = int(rng.integers(1, 4))
+                self._assert_same(params, lam, omega0, 4, 2, TruncationPolicy(tail_budget=budget))
+
+    def test_tiny_immigration_reaches_a_zero_cutoff(self):
+        """At x = 0 the rates are ~1e-9, so the expansion keeps y = 0 only
+        and the overshoot uses the sf at -1."""
+        params = ParamSet(0.6, 0.4, 1e-9, 2e-9)
+        assert _poisson_cutoffs(np.array([2e-9]), 1e-8, 5000) == [0]
+        for budget in self.BUDGETS:
+            policy = TruncationPolicy(tail_budget=budget)
+            self._assert_same(params, 0.5, 1, 4, 3, policy)
+            assert 0 in path_law_atoms(params, 1, 3, policy).states
+
+    def test_no_immigration_with_extinct_state(self):
+        params = ParamSet(0.7, 0.4, 0.0, 0.0)
+        for budget in self.BUDGETS:
+            policy = TruncationPolicy(tail_budget=budget)
+            self._assert_same(params, 0.5, 2, 5, 3, policy)
+            assert 0 in path_law_atoms(params, 2, 3, policy).states
+
+    def test_blowup_message(self):
+        params = ParamSet(1.2, 0.8, 2, 2)
+        self._assert_same(params, 0.5, 3, 6, 3, TruncationPolicy(max_state=30))
