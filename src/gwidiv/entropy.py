@@ -4,14 +4,20 @@ The lambda->1 limit of the power divergence turns every Hellinger-integral
 statement into an entropy statement: exact closed forms on NI/SP1, a closed
 -form upper bound E^U elsewhere, and a lower-bound family built from
 tangent, secant and horizontal majorants of phi whose supremum is reported.
-All formulas carry two branches, beta_a != 1 and beta_a = 1 (the former has
-a removable singularity at beta_a = 1, so near-1 inputs evaluate both).
+
+The entropy is I = sum_{k<n} E_A g(X_k), with the per-step Poisson divergence
+g(x) = f_A log(f_A/f_H) - f_A + f_H at the rates f = beta*x + alpha.  Every
+formula replaces g by a line c0 + c1*x (g itself on NI/SP1, where it is
+linear; a majorant or minorant of it elsewhere), so it equals n*c0 + c1*S
+with the expected population sum S = sum_{k<n} E_A X_k.  S is the only
+quantity with a removable singularity at beta_a = 1; `_occupation` computes
+it uniformly across it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .params import CaseError, CaseTag, GWIError, ParamSet, classify
@@ -30,24 +36,48 @@ __all__ = [
     "tangent_derivative_at_ystar",
 ]
 
-_ONE_TOL = 1e-12
-_NEAR_ONE = 1e-6
+
+def _occupation(params: ParamSet, omega0: int, n: int) -> float:
+    """S = sum_{k<n} E_A X_k = omega0*G + alpha_a*H for X_0 = omega0.
+
+    With d = beta_a - 1, G = sum_{k<n} beta_a^k = sum_j C(n, j+1) d^j and
+    H = sum_{k<n} (beta_a^k - 1)/d = sum_j C(n, j+2) d^j.  For |n*d| < 1/2
+    the series are summed, each term under a quarter of the one before;
+    otherwise |beta_a^n - 1| > 0.4, and G = expm1(n log1p d)/d and
+    H = (G - n)/d lose at most a few bits.  This is the only place where the
+    distance of beta_a from 1 matters.
+    """
+    if omega0 < 1 or n < 1:
+        raise GWIError("need omega0 >= 1 and n >= 1")
+    d = params.beta_a - 1.0
+    if abs(n * d) < 0.5:
+        g_term, h_term = float(n), 0.5 * n * (n - 1)
+        g = h = 0.0
+        j = 0
+        while abs(g_term) > 1e-17 * g or abs(h_term) > 1e-17 * h:
+            g += g_term
+            h += h_term
+            g_term *= d * (n - 1 - j) / (j + 2)
+            h_term *= d * (n - 2 - j) / (j + 3)
+            j += 1
+    else:
+        try:
+            g = math.expm1(n * math.log1p(d)) / d
+        except OverflowError:
+            g = math.inf
+        h = (g - n) / d
+    s = omega0 * g + params.alpha_a * h
+    if not math.isfinite(s):
+        raise GWIError(f"expected population sum overflows a double at n = {n}")
+    return s
 
 
-def _near_one_branch(beta_a: float) -> bool:
-    return abs(beta_a - 1.0) < _ONE_TOL
-
-
-def _weight_geo(params: ParamSet, omega0: int, n: int) -> float:
-    """(1 - beta_a^n)/(1 - beta_a) * [omega0 - alpha_a/(1 - beta_a)] (beta_a != 1)."""
-    ba = params.beta_a
-    return (1.0 - ba**n) / (1.0 - ba) * (omega0 - params.alpha_a / (1.0 - ba))
-
-
-def _weight_quad(params: ParamSet, omega0: int, n: int) -> float:
-    """alpha_a/2 * n^2 + (omega0 + alpha_a/2) * n (beta_a = 1)."""
-    aa = params.alpha_a
-    return 0.5 * aa * n * n + (omega0 + 0.5 * aa) * n
+def _integrated(line: tuple[float, float], params: ParamSet, omega0: int, n: int) -> float:
+    """sum_{k<n} E_A[c0 + c1*X_k] = n*c0 + c1*S for the line (c0, c1)."""
+    value = n * line[0] + line[1] * _occupation(params, omega0, n)
+    if not math.isfinite(value):
+        raise GWIError(f"entropy value overflows a double at n = {n}")
+    return value
 
 
 def _entropy_drift(params: ParamSet) -> float:
@@ -55,35 +85,34 @@ def _entropy_drift(params: ParamSet) -> float:
     return params.beta_a * (math.log(params.beta_a / params.beta_h) - 1.0) + params.beta_h
 
 
-def _exact_value(params: ParamSet, omega0: int, n: int, force_one: bool) -> float:
-    if force_one:
-        return (params.beta_h - math.log(params.beta_h) - 1.0) * _weight_quad(
-            params, omega0, n
-        )
-    t = _entropy_drift(params)
-    ba = params.beta_a
-    return t / (1.0 - ba) * (omega0 - params.alpha_a / (1.0 - ba)) * (
-        1.0 - ba**n
-    ) + params.alpha_a * t / (ba * (1.0 - ba)) * n
+def _tangent_line(params: ParamSet, y: float) -> tuple[float, float]:
+    """(intercept, slope) of the tangent of g at y."""
+    ratio = params.rate_a(y) / params.rate_h(y)
+    log_ratio = math.log(ratio)
+    return (
+        params.alpha_a * log_ratio + params.alpha_h * (1.0 - ratio),
+        params.beta_a * log_ratio + params.beta_h * (1.0 - ratio),
+    )
 
 
-def _dual_branch(params: ParamSet, omega0: int, n: int, fn) -> float:
-    """Evaluate with the beta_a = 1 branch when applicable.
+def _limit_line(params: ParamSet) -> tuple[float, float]:
+    """The asymptote of g: its tangent line in the limit y -> infinity."""
+    ratio = params.beta_a / params.beta_h
+    return (
+        params.alpha_a * math.log(ratio) + params.alpha_h * (1.0 - ratio),
+        _entropy_drift(params),
+    )
 
-    In the band 1e-12 < |beta_a - 1| < 1e-6 both branches are computed and
-    their near-agreement asserted, guarding the removable singularity.
-    """
-    if _near_one_branch(params.beta_a):
-        return fn(params, omega0, n, True)
-    value = fn(params, omega0, n, False)
-    if abs(params.beta_a - 1.0) < _NEAR_ONE:
-        other = fn(params, omega0, n, True)
-        scale = max(abs(value), abs(other), 1e-12)
-        if abs(value - other) > 1e-3 * scale:
-            raise GWIError(
-                f"entropy branches disagree near beta_a = 1: {value} vs {other}"
-            )
-    return value
+
+def _secant_line(params: ParamSet, k: int) -> tuple[float, float]:
+    """(intercept, slope) of the secant of g through k and k + 1."""
+    fa, fa_next = params.rate_a(float(k)), params.rate_a(float(k + 1))
+    l_k = fa * math.log(fa / params.rate_h(float(k)))
+    diff = fa_next * math.log(fa_next / params.rate_h(float(k + 1))) - l_k
+    return (
+        l_k - k * diff + params.alpha_h - params.alpha_a,
+        diff + params.beta_h - params.beta_a,
+    )
 
 
 def exact_entropy(params: ParamSet, omega0: int, n: int) -> float:
@@ -93,20 +122,8 @@ def exact_entropy(params: ParamSet, omega0: int, n: int) -> float:
         raise CaseError(
             f"exact entropy only exists on NI/SP1 (got {case.value}); use the bounds"
         )
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
-    return _dual_branch(params, omega0, n, _exact_value)
-
-
-def _upper_value(params: ParamSet, omega0: int, n: int, force_one: bool) -> float:
-    aa, ah = params.alpha_a, params.alpha_h
-    ba, bh = params.beta_a, params.beta_h
-    if force_one:
-        lin = aa * (math.log(aa * bh / ah) - bh) + ah
-        return (bh - math.log(bh) - 1.0) * _weight_quad(params, omega0, n) + lin * n
     t = _entropy_drift(params)
-    lin = aa * t / (ba * (1.0 - ba)) + aa * (math.log(aa * bh / (ah * ba)) - bh / ba) + ah
-    return t / (1.0 - ba) * (omega0 - aa / (1.0 - ba)) * (1.0 - ba**n) + lin * n
+    return _integrated((params.alpha_a * t / params.beta_a, t), params, omega0, n)
 
 
 def entropy_upper(params: ParamSet, omega0: int, n: int) -> float:
@@ -116,101 +133,36 @@ def entropy_upper(params: ParamSet, omega0: int, n: int) -> float:
         raise CaseError(
             f"case {case.value} has exact entropy; use exact_entropy"
         )
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
-    return _dual_branch(params, omega0, n, _upper_value)
-
-
-def _rate_ratio(params: ParamSet, y: float) -> float:
-    return params.rate_a(y) / params.rate_h(y)
+    aa, ah = params.alpha_a, params.alpha_h
+    g_zero = aa * math.log(aa / ah) - aa + ah
+    return _integrated((g_zero, _entropy_drift(params)), params, omega0, n)
 
 
 def tangent_component(params: ParamSet, omega0: int, n: int, y: float) -> float:
     """Lower-bound component from the tangent of phi at the point y >= 0."""
     if y < 0.0:
         raise GWIError("tangent point y must be >= 0")
-
-    def value(p: ParamSet, w0: int, nn: int, force_one: bool) -> float:
-        ratio = _rate_ratio(p, y)
-        b_term = 1.0 - ratio
-        if force_one:
-            a_term = math.log(ratio) + p.beta_h * b_term
-            return a_term * _weight_quad(p, w0, nn) + (
-                p.alpha_h - p.alpha_a * p.beta_h
-            ) * b_term * nn
-        a_term = p.beta_a * math.log(ratio) + p.beta_h * b_term
-        lin = p.alpha_a / (p.beta_a * (1.0 - p.beta_a)) * a_term + (
-            p.alpha_h - p.alpha_a * p.beta_h / p.beta_a
-        ) * b_term
-        return a_term * _weight_geo(p, w0, nn) + lin * nn
-
-    return _dual_branch(params, omega0, n, value)
+    return _integrated(_tangent_line(params, y), params, omega0, n)
 
 
 def tangent_component_limit(params: ParamSet, omega0: int, n: int) -> float:
     """The y -> infinity limit of the tangent component (closed form)."""
-
-    def value(p: ParamSet, w0: int, nn: int, force_one: bool) -> float:
-        if force_one:
-            lin = p.alpha_a * (1.0 - p.beta_h) + p.alpha_h * (1.0 - 1.0 / p.beta_h)
-            return (p.beta_h - math.log(p.beta_h) - 1.0) * _weight_quad(p, w0, nn) + lin * nn
-        t = _entropy_drift(p)
-        lin = (
-            p.alpha_a * t / (p.beta_a * (1.0 - p.beta_a))
-            + p.alpha_a * (1.0 - p.beta_h / p.beta_a)
-            + p.alpha_h * (1.0 - p.beta_a / p.beta_h)
-        )
-        return t * _weight_geo(p, w0, nn) + lin * nn
-
-    return _dual_branch(params, omega0, n, value)
+    return _integrated(_limit_line(params), params, omega0, n)
 
 
 def tangent_component_dy(params: ParamSet, omega0: int, n: int, y: float) -> float:
     """d/dy of the tangent component; used to confirm stationarity of maximizers."""
     gbar = params.alpha_a * params.beta_h - params.alpha_h * params.beta_a
-    fa, fh = params.rate_a(y), params.rate_h(y)
-
-    def value(p: ParamSet, w0: int, nn: int, force_one: bool) -> float:
-        if force_one:
-            return gbar**2 / (fa * fh * fh) * _weight_quad(p, w0, nn) - gbar**2 / (
-                fh * fh
-            ) * nn
-        lead = gbar**2 / (fa * fh * fh) * _weight_geo(p, w0, nn)
-        lin = gbar / (fh * fh) * (
-            p.alpha_a * gbar / (p.beta_a * (1.0 - p.beta_a) * fa) - gbar / p.beta_a
-        )
-        return lead + lin * nn
-
-    return _dual_branch(params, omega0, n, value)
+    curvature = gbar**2 / (params.rate_a(y) * params.rate_h(y) ** 2)
+    # d/dy of the tangent line at y is the line curvature * (x - y)
+    return _integrated((-curvature * y, curvature), params, omega0, n)
 
 
 def secant_component(params: ParamSet, omega0: int, n: int, k: int) -> float:
     """Lower-bound component from the secant of phi through k and k + 1."""
     if k < 0:
         raise GWIError("secant index k must be >= 0")
-
-    def xlogr(p: ParamSet, x: float) -> float:
-        fa = p.rate_a(x)
-        return fa * math.log(fa / p.rate_h(x))
-
-    def value(p: ParamSet, w0: int, nn: int, force_one: bool) -> float:
-        l_k = xlogr(p, float(k))
-        diff = xlogr(p, float(k + 1)) - l_k
-        if force_one:
-            lead = (diff + p.beta_h - 1.0) * _weight_quad(p, w0, nn)
-            lin = diff * (k + p.alpha_a) - l_k + p.alpha_a * p.beta_h - p.alpha_h
-            return lead - lin * nn
-        lead = (diff + p.beta_h - p.beta_a) * _weight_geo(p, w0, nn)
-        lin = (
-            p.alpha_a / (p.beta_a * (1.0 - p.beta_a)) * (diff + p.beta_h - p.beta_a)
-            - diff * (k + p.alpha_a / p.beta_a)
-            + l_k
-            - p.alpha_a * p.beta_h / p.beta_a
-            + p.alpha_h
-        )
-        return lead + lin * nn
-
-    return _dual_branch(params, omega0, n, value)
+    return _integrated(_secant_line(params, k), params, omega0, n)
 
 
 def _horizontal_argmax(params: ParamSet) -> int:
@@ -264,20 +216,13 @@ def tangent_derivative_at_ystar(params: ParamSet, omega0: int, n: int) -> float:
     guaranteed by the construction.
     """
     gbar = params.alpha_a * params.beta_h - params.alpha_h * params.beta_a
-    ba, bh = params.beta_a, params.beta_h
-
-    def value(p: ParamSet, w0: int, nn: int, force_one: bool) -> float:
-        if force_one:
-            return -((1.0 - bh) ** 3) / gbar * _weight_quad(p, w0, nn) - (
-                1.0 - bh
-            ) ** 2 * nn
-        lead = -((ba - bh) ** 3) / gbar * _weight_geo(p, w0, nn)
-        lin = -((ba - bh) ** 2) / ba * (
-            1.0 + p.alpha_a * (ba - bh) / ((1.0 - ba) * gbar)
-        )
-        return lead + lin * nn
-
-    return _dual_branch(params, omega0, n, value)
+    gap = params.beta_a - params.beta_h
+    # tangent_component_dy at y*, where f_A = f_H = gbar/(beta_h - beta_a):
+    # the line -gap^3/gbar * (x - y*), written without dividing by gap
+    return _integrated(
+        (-(gap**2) * (params.alpha_a - params.alpha_h) / gbar, -(gap**3) / gbar),
+        params, omega0, n,
+    )
 
 
 def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
@@ -321,6 +266,11 @@ class EntropyReport:
     case: CaseTag
 
     def __post_init__(self) -> None:
+        for name in ("exact", "upper", "lower", "tan_at_ystar", "best_tan", "best_sec",
+                     "horizontal", "simplified", "dtan_at_ystar"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise GWIError(f"entropy {name} is {value}, not a finite double")
         if self.lower is not None and self.upper is not None:
             if self.lower > self.upper + 1e-9:
                 raise GWIError("entropy lower bound exceeds upper bound")
@@ -339,11 +289,15 @@ def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
     case = classify(params, 0.5)
     if case in (CaseTag.NI, CaseTag.SP1):
         raise CaseError(f"entropy lower bounds only apply on SP \\ SP1, got {case.value}")
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
+    s = _occupation(params, omega0, n)
+
+    # unlike _integrated, no finiteness check: a candidate that overflows to
+    # -inf just loses, and the report rejects any value it would keep
+    def integrated(line: tuple[float, float]) -> float:
+        return n * line[0] + line[1] * s
 
     def tan(y: float) -> float:
-        return tangent_component(params, omega0, n, y)
+        return integrated(_tangent_line(params, y))
 
     grid = [0.0] + [2.0**e for e in range(-4, 17)]
     values = [tan(y) for y in grid]
@@ -353,7 +307,7 @@ def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
     y_best, best_tan = _golden_max(tan, lo, hi)
     if values[i_best] > best_tan:
         y_best, best_tan = grid[i_best], values[i_best]
-    tan_inf = tangent_component_limit(params, omega0, n)
+    tan_inf = integrated(_limit_line(params))
     if tan_inf > best_tan:
         y_best, best_tan = math.inf, tan_inf
 
@@ -361,11 +315,12 @@ def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
     if params.beta_a != params.beta_h:
         x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
         guard = max(0, math.ceil(x_star))
-    k_best, best_sec = 0, secant_component(params, omega0, n, 0)
+    sec_zero = integrated(_secant_line(params, 0))
+    k_best, best_sec = 0, sec_zero
     drops, k = 0, 0
     while drops < 10 or k <= guard:
         k += 1
-        val = secant_component(params, omega0, n, k)
+        val = integrated(_secant_line(params, k))
         if val > best_sec:
             k_best, best_sec = k, val
             drops = 0
@@ -377,14 +332,14 @@ def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
     horizontal, _z = horizontal_component(params, omega0, n)
 
     lower = max(best_tan, best_sec, horizontal, 0.0)
-    simplified = max(tan_inf, secant_component(params, omega0, n, 0), horizontal)
+    simplified = max(tan_inf, sec_zero, horizontal)
 
     tan_at_ystar = None
     dtan = None
     degenerate = False
     if case is CaseTag.SP3D:
         y_star = (params.alpha_a - params.alpha_h) / (params.beta_h - params.beta_a)
-        tan_at_ystar = tangent_component(params, omega0, n, y_star)
+        tan_at_ystar = tan(y_star)
         dtan = tangent_derivative_at_ystar(params, omega0, n)
         degenerate = bool(abs(dtan) <= 1e-10 * max(1.0, abs(n)))
 
@@ -426,19 +381,4 @@ def entropy_report(params: ParamSet, omega0: int, n: int) -> EntropyReport:
             case=case,
         )
     report = entropy_lower(params, omega0, n)
-    upper = entropy_upper(params, omega0, n)
-    return EntropyReport(
-        exact=None,
-        upper=upper,
-        lower=report.lower,
-        tan_at_ystar=report.tan_at_ystar,
-        best_tan=report.best_tan,
-        best_sec=report.best_sec,
-        horizontal=report.horizontal,
-        y_best=report.y_best,
-        k_best=report.k_best,
-        simplified=report.simplified,
-        degenerate_sp3d=report.degenerate_sp3d,
-        dtan_at_ystar=report.dtan_at_ystar,
-        case=report.case,
-    )
+    return replace(report, upper=entropy_upper(params, omega0, n))

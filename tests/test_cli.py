@@ -20,9 +20,13 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def _reject_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
 def run_json(capsys, *argv):
     code, out = run_cli(capsys, *argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 class TestClassify:
@@ -106,6 +110,27 @@ class TestVerify:
         assert code == 0
         assert out["status"] == "PASS"
 
+    @pytest.mark.parametrize("preset, n", [("ni-small", 5), ("sp1-small", 3)])
+    def test_rounding_gap_passes(self, capsys, preset, n):
+        """The exact value once missed the enclosure's lower end by one rounding error."""
+        code, out = run_json(capsys, "verify", "--preset", preset, "--n", str(n),
+                             "--tail-budget", "1e-15")
+        assert code == 0
+        assert out["status"] == "PASS"
+
+    @pytest.mark.parametrize("shift", [1e-9, -1e-9])
+    def test_shifted_value_fails(self, capsys, monkeypatch, shift):
+        """The rounding allowance is far below a 1e-9 relative error."""
+        import gwidiv.cli
+
+        exact = gwidiv.cli.exact_log_hellinger
+        monkeypatch.setattr(gwidiv.cli, "exact_log_hellinger",
+                            lambda *args: exact(*args) + math.log1p(shift))
+        code, out = run_json(capsys, "verify", "--preset", "ni-small", "--n", "5",
+                             "--tail-budget", "1e-15")
+        assert code == 0
+        assert out["status"] == "FAIL"
+
 
 class TestOtherCommands:
     def test_divergence(self, capsys):
@@ -118,6 +143,13 @@ class TestOtherCommands:
         code, out = run_json(capsys, "entropy", "--preset", "sp3d-entropy", "--omega0", "3", "--n", "2")
         assert code == 0
         assert out["degenerate_sp3d"] is True
+
+    def test_entropy_limit_tangent_is_null(self, capsys):
+        """The library's y_best = inf (the y -> infinity limit won) prints as null."""
+        code, out = run_json(capsys, "entropy", "--preset", "a2-example", "--n", "50")
+        assert code == 0
+        assert out["components"]["y_best"] is None
+        assert out["lower"] <= out["upper"]
 
     def test_diffusion(self, capsys):
         code, out = run_json(
@@ -203,16 +235,24 @@ class TestErrors:
     @pytest.mark.parametrize("budget", ["nan", "inf", "2", "0", "-1e-9"])
     def test_bad_tail_budget_code(self, capsys, budget):
         """Such budgets once printed NaN/Infinity (not JSON) and a PASS."""
-        code, out = run_cli(capsys, "verify", "--preset", "a7-sp2", "--n", "2",
-                            f"--tail-budget={budget}")
+        code, payload = run_json(capsys, "verify", "--preset", "a7-sp2", "--n", "2",
+                                 f"--tail-budget={budget}")
         assert code == 5
-
-        def reject(constant):
-            raise ValueError(f"{constant} is not JSON")
-
-        payload = json.loads(out, parse_constant=reject)
         assert payload["error"]["kind"] == "invalid-input"
         assert "tail_budget" in payload["error"]["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "a2-example", "--n", "2000"),
+        ("--preset", "sp1-small", "--n", "2000"),
+        ("--beta-a", "2", "--beta-h", "0.01", "--alpha-a", "1", "--alpha-h", "1.5",
+         "--n", "1020"),
+    ])
+    def test_entropy_overflow_code(self, capsys, argv):
+        """These once died with an OverflowError traceback or printed Infinity."""
+        code, out = run_json(capsys, "entropy", *argv)
+        assert code == 5
+        assert out["error"]["kind"] == "invalid-input"
+        assert "double" in out["error"]["message"]
 
     def test_parse_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -276,6 +316,31 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[0][0] == "m"
         assert len(rows) == 4
+
+
+def _contract_cases():
+    for preset in sorted(PRESETS):
+        yield "classify", preset, None
+        for command in ("hellinger", "divergence", "entropy", "bayes", "nptest", "sweep",
+                        "verify", "simulate"):
+            for n in (1, 5, 50, 2000):
+                if command in ("verify", "simulate") and n > 5:
+                    continue
+                yield command, preset, n
+
+
+@pytest.mark.parametrize("command, preset, n", list(_contract_cases()))
+def test_cli_contract(capsys, command, preset, n):
+    """Every command on every preset exits with a documented code and prints strict JSON."""
+    argv = [command, "--preset", preset]
+    if n is not None:
+        argv += ["--n", str(n)]
+    if command == "sweep":
+        argv += ["--axis", "lambda", "--grid", "0.1:0.9:3", "--format", "json"]
+    elif command == "simulate":
+        argv += ["--reps", "1000"]
+    code, _ = run_json(capsys, *argv)
+    assert code in (0, 3, 4, 5)
 
 
 def test_presets_cover_reference_examples():
