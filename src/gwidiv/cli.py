@@ -222,8 +222,7 @@ def _cmd_entropy(args) -> dict:
             "best_secant": report.best_sec,
             "horizontal": report.horizontal,
             "tangent_at_ystar": report.tan_at_ystar,
-            # the library reports y_best = inf when the y -> inf limit wins
-            "y_best": None if report.y_best == math.inf else report.y_best,
+            "y_best": report.y_best,
             "k_best": report.k_best,
         },
         "degenerate_sp3d": report.degenerate_sp3d,

@@ -2,16 +2,17 @@
 
 The lambda->1 limit of the power divergence turns every Hellinger-integral
 statement into an entropy statement: exact closed forms on NI/SP1, a closed
--form upper bound E^U elsewhere, and a lower-bound family built from
-tangent, secant and horizontal majorants of phi whose supremum is reported.
+-form upper bound E^U elsewhere, and a lower bound E^L, the supremum of
+tangent, secant and horizontal minorants of the per-step divergence.
 
 The entropy is I = sum_{k<n} E_A g(X_k), with the per-step Poisson divergence
 g(x) = f_A log(f_A/f_H) - f_A + f_H at the rates f = beta*x + alpha.  Every
 formula replaces g by a line c0 + c1*x (g itself on NI/SP1, where it is
 linear; a majorant or minorant of it elsewhere), so it equals n*c0 + c1*S
-with the expected population sum S = sum_{k<n} E_A X_k.  S is the only
-quantity with a removable singularity at beta_a = 1; `_occupation` computes
-it uniformly across it.
+= n*(c0 + c1*mbar) with the expected population sum S = sum_{k<n} E_A X_k
+and mbar = S/n; since g is convex, each supremum is a closed form at mbar.
+S is the only quantity with a removable singularity at beta_a = 1;
+`_occupation` computes it uniformly across it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
+
+from scipy.special import lambertw
 
 from .params import CaseError, CaseTag, GWIError, ParamSet, classify
 
@@ -165,46 +168,59 @@ def secant_component(params: ParamSet, omega0: int, n: int, k: int) -> float:
     return _integrated(_secant_line(params, k), params, omega0, n)
 
 
-def _horizontal_argmax(params: ParamSet) -> int:
-    """argmax over the integers of f_A(x)[1 - log(f_A/f_H)(x)] - f_H(x).
+def _divergence(params: ParamSet, x: float) -> float:
+    """g(x) = f_A log(f_A/f_H) - f_A + f_H, the per-step Poisson divergence."""
+    fa, fh = params.rate_a(x), params.rate_h(x)
+    return fa * (math.log(fa / fh) - 1.0) + fh
 
-    Ties break toward the smaller integer; the scan stops after the value
-    has decreased for 10 consecutive integers past the zero-of-phi region.
+
+def _excess(params: ParamSet, x: float) -> float:
+    """h(x) = g(x) - t*x, the divergence above the asymptotic slope t of g.
+
+    Written as alpha_a log(beta_a/beta_h) + alpha_h - alpha_a
+    + f_A log1p(-gamma/(beta_a f_H)), which does not cancel at large x.  h
+    decreases on [0, inf): g is convex and its slope tends to t.
     """
-    def g(x: int) -> float:
-        fa, fh = params.rate_a(x), params.rate_h(x)
-        return fa * (1.0 - math.log(fa / fh)) - fh
+    return (
+        params.alpha_a * math.log(params.beta_a / params.beta_h)
+        + params.alpha_h - params.alpha_a
+        + params.rate_a(x) * math.log1p(-params.gamma / (params.beta_a * params.rate_h(x)))
+    )
 
-    guard = 0
-    if params.beta_a != params.beta_h:
-        x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
-        guard = max(0, math.ceil(x_star))
-    best_x, best = 0, g(0)
-    drops = 0
-    x = 0
-    while drops < 10 or x <= guard:
-        x += 1
-        val = g(x)
-        if val > best:
-            best_x, best = x, val
-            drops = 0
-        else:
-            drops += 1
-        if x > 10**6:
-            raise GWIError("horizontal argmax scan did not terminate")
-    return best_x
+
+def _stationary_point(params: ParamSet) -> float:
+    """x where g' = beta_a log r - beta_h (r - 1) vanishes, r = f_A/f_H.
+
+    It is the rate crossing x* (r = 1) if the common rate there is positive;
+    otherwise r is the other root r0 = -W(-c e^-c)/c of log r = c (r - 1),
+    c = beta_h/beta_a, with W on branch -1 for c < 1 and branch 0 for c > 1.
+    Needs beta_a != beta_h.
+    """
+    ba, bh, aa, ah = params.beta_a, params.beta_h, params.alpha_a, params.alpha_h
+    x_star = (ah - aa) / (ba - bh)
+    if ba * x_star + aa > 0.0:
+        return x_star
+    c = bh / ba
+    r0 = -lambertw(-c * math.exp(-c), -1 if c < 1.0 else 0).real / c
+    return (r0 * ah - aa) / (ba - r0 * bh)
 
 
 def horizontal_component(params: ParamSet, omega0: int, n: int) -> tuple[float, int]:
     """Lower-bound component from the horizontal majorant; returns (value, z*).
 
-    On SP4 the horizontal majorant is trivial, so the component is 0.
+    The value is n*g(z*), z* the smallest integer minimizing the convex g,
+    next to its stationary point.  On SP4 the horizontal majorant is trivial,
+    so the component is 0.
     """
     if classify(params, 0.5) is CaseTag.SP4:
         return 0.0, 0
-    z = _horizontal_argmax(params)
-    fa, fh = params.rate_a(z), params.rate_h(z)
-    return (fa * (math.log(fa / fh) - 1.0) + fh) * n, z
+    x_min = _stationary_point(params)
+    z = 0
+    if x_min > 0.0:
+        z = math.floor(x_min)
+        if _divergence(params, z + 1) < _divergence(params, z):
+            z += 1
+    return _divergence(params, z) * n, z
 
 
 def tangent_derivative_at_ystar(params: ParamSet, omega0: int, n: int) -> float:
@@ -223,28 +239,6 @@ def tangent_derivative_at_ystar(params: ParamSet, omega0: int, n: int) -> float:
         (-(gap**2) * (params.alpha_a - params.alpha_h) / gbar, -(gap**3) / gbar),
         params, omega0, n,
     )
-
-
-def _golden_max(fn, lo: float, hi: float, iters: int = 80) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal-enough fn on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    for _ in range(iters):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-        if b - a < 1e-10 * max(1.0, abs(a)):
-            break
-    x = 0.5 * (a + b)
-    return x, fn(x)
 
 
 @dataclass(frozen=True)
@@ -279,67 +273,39 @@ class EntropyReport:
 def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
     """Supremum of the tangent/secant/horizontal entropy lower bounds.
 
-    The tangent family is maximized over a geometric y-grid refined by
-    golden-section search, plus its analytic y -> infinity limit; the secant
-    family is scanned over integers until it has decreased 10 times in a
-    row past the rate-crossing region; the horizontal component is a single
-    closed form.  The simplified bound max{tan(inf), sec(0), horizontal} is
-    reported alongside.
+    Every member of the three families is a line l evaluated as n*l(mbar) at
+    mbar = S/n, so each supremum is a closed form in h = g - t*x: the best
+    tangent t*S + n*h(mbar) at y_best = mbar, the best secant
+    t*S + n*[h(k) + (mbar - k)(h(k+1) - h(k))] at k_best = k = floor(mbar),
+    and the horizontal component n*min_Z g.  The simplified bound
+    max{tan(inf), sec(0), horizontal} is reported alongside.
     """
     case = classify(params, 0.5)
     if case in (CaseTag.NI, CaseTag.SP1):
         raise CaseError(f"entropy lower bounds only apply on SP \\ SP1, got {case.value}")
     s = _occupation(params, omega0, n)
+    ts = _entropy_drift(params) * s
+    y_best = s / n
+    k_best = math.floor(y_best)
+    h_k = _excess(params, k_best)
+    best_tan = ts + n * _excess(params, y_best)
+    best_sec = ts + n * (h_k + (y_best - k_best) * (_excess(params, k_best + 1) - h_k))
 
     # unlike _integrated, no finiteness check: a candidate that overflows to
     # -inf just loses, and the report rejects any value it would keep
     def integrated(line: tuple[float, float]) -> float:
         return n * line[0] + line[1] * s
 
-    def tan(y: float) -> float:
-        return integrated(_tangent_line(params, y))
-
-    grid = [0.0] + [2.0**e for e in range(-4, 17)]
-    values = [tan(y) for y in grid]
-    i_best = max(range(len(grid)), key=values.__getitem__)
-    lo = grid[i_best - 1] if i_best > 0 else 0.0
-    hi = grid[i_best + 1] if i_best + 1 < len(grid) else 2.0 * grid[i_best] + 1.0
-    y_best, best_tan = _golden_max(tan, lo, hi)
-    if values[i_best] > best_tan:
-        y_best, best_tan = grid[i_best], values[i_best]
-    tan_inf = integrated(_limit_line(params))
-    if tan_inf > best_tan:
-        y_best, best_tan = math.inf, tan_inf
-
-    guard = 0
-    if params.beta_a != params.beta_h:
-        x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
-        guard = max(0, math.ceil(x_star))
-    sec_zero = integrated(_secant_line(params, 0))
-    k_best, best_sec = 0, sec_zero
-    drops, k = 0, 0
-    while drops < 10 or k <= guard:
-        k += 1
-        val = integrated(_secant_line(params, k))
-        if val > best_sec:
-            k_best, best_sec = k, val
-            drops = 0
-        else:
-            drops += 1
-        if k > 10**5:
-            break
-
     horizontal, _z = horizontal_component(params, omega0, n)
-
     lower = max(best_tan, best_sec, horizontal, 0.0)
-    simplified = max(tan_inf, sec_zero, horizontal)
+    simplified = max(integrated(_limit_line(params)), integrated(_secant_line(params, 0)),
+                     horizontal)
 
-    tan_at_ystar = None
-    dtan = None
+    tan_at_ystar = dtan = None
     degenerate = False
     if case is CaseTag.SP3D:
         y_star = (params.alpha_a - params.alpha_h) / (params.beta_h - params.beta_a)
-        tan_at_ystar = tan(y_star)
+        tan_at_ystar = integrated(_tangent_line(params, y_star))
         dtan = tangent_derivative_at_ystar(params, omega0, n)
         degenerate = bool(abs(dtan) <= 1e-10 * max(1.0, abs(n)))
 

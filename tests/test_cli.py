@@ -12,6 +12,7 @@ import pytest
 
 import gwidiv
 from gwidiv.cli import PRESETS, main
+from gwidiv.entropy import _occupation
 
 
 def run_cli(capsys, *argv):
@@ -144,11 +145,13 @@ class TestOtherCommands:
         assert code == 0
         assert out["degenerate_sp3d"] is True
 
-    def test_entropy_limit_tangent_is_null(self, capsys):
-        """The library's y_best = inf (the y -> infinity limit won) prints as null."""
+    def test_entropy_tangent_at_mean_population(self, capsys):
+        """The best tangent touches g at the mean population S/n, a finite number."""
         code, out = run_json(capsys, "entropy", "--preset", "a2-example", "--n", "50")
         assert code == 0
-        assert out["components"]["y_best"] is None
+        params = gwidiv.ParamSet(*PRESETS["a2-example"][:4])
+        assert out["components"]["y_best"] == _occupation(params, 1, 50) / 50
+        assert out["components"]["k_best"] == math.floor(out["components"]["y_best"])
         assert out["lower"] <= out["upper"]
 
     def test_diffusion(self, capsys):

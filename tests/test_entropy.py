@@ -23,7 +23,7 @@ from gwidiv import (
     tangent_component_limit,
     tangent_derivative_at_ystar,
 )
-from gwidiv.entropy import _golden_max, _occupation, horizontal_component
+from gwidiv.entropy import _occupation, horizontal_component
 
 from conftest import ALL_CASES, random_params
 
@@ -171,15 +171,14 @@ class TestEntropyLower:
             assert tangent_component_dy(params, 2, n, y) == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_interior_maximizer_is_stationary(self, rng):
-        """When the tangent sup sits at finite y > 0, its y-derivative vanishes."""
+        """The best tangent point y_best is where the tangent's y-derivative vanishes."""
         for _ in range(30):
             case = SP_CASES[rng.integers(0, len(SP_CASES))]
             params = random_params(rng, case)
             report = entropy_lower(params, 1, 3)
-            if report.y_best not in (0.0, math.inf) and report.best_tan >= report.lower - 1e-12:
-                deriv = tangent_component_dy(params, 1, 3, report.y_best)
-                scale = max(abs(report.best_tan), 1.0)
-                assert abs(deriv) < 1e-5 * scale
+            deriv = tangent_component_dy(params, 1, 3, report.y_best)
+            scale = max(abs(report.best_tan), 1.0)
+            assert abs(deriv) < 1e-5 * scale
 
     def test_rejects_exact_cases(self):
         with pytest.raises(CaseError):
@@ -205,7 +204,68 @@ class TestEntropyReport:
 
 # Reference copy of the twin-branch formulas that the line integrals
 # n*c0 + c1*S replaced: each component written out once for beta_a != 1 and
-# once for beta_a = 1 (``one``), with the search of entropy_lower on top.
+# once for beta_a = 1 (``one``), with the searches that the closed forms of
+# entropy_lower and horizontal_component replaced on top.
+
+
+def _golden_max(fn, lo, hi, iters=80):
+    """Golden-section maximization of a unimodal-enough fn on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    for _ in range(iters):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+        if b - a < 1e-10 * max(1.0, abs(a)):
+            break
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def ref_horizontal_argmax(p):
+    """argmax over the integers of f_A(x)[1 - log(f_A/f_H)(x)] - f_H(x), by a scan.
+
+    Ties break toward the smaller integer; the scan stops after the value
+    has decreased for 10 consecutive integers past the zero-of-phi region.
+    """
+    def g(x):
+        fa, fh = p.rate_a(x), p.rate_h(x)
+        return fa * (1.0 - math.log(fa / fh)) - fh
+
+    guard = 0
+    if p.beta_a != p.beta_h:
+        x_star = (p.alpha_h - p.alpha_a) / (p.beta_a - p.beta_h)
+        guard = max(0, math.ceil(x_star))
+    best_x, best = 0, g(0)
+    drops = 0
+    x = 0
+    while drops < 10 or x <= guard:
+        x += 1
+        val = g(x)
+        if val > best:
+            best_x, best = x, val
+            drops = 0
+        else:
+            drops += 1
+        if x > 10**6:
+            raise GWIError("horizontal argmax scan did not terminate")
+    return best_x
+
+
+def ref_horizontal(p, nn):
+    if classify(p, 0.5).value == "SP4":
+        return 0.0, 0
+    z = ref_horizontal_argmax(p)
+    fa, fh = p.rate_a(z), p.rate_h(z)
+    return (fa * (math.log(fa / fh) - 1.0) + fh) * nn, z
 
 
 def _ref_weight(p, w0, nn, one):
@@ -313,7 +373,7 @@ def ref_dtan_at_ystar(p, w0, nn, one=False):
 
 
 def ref_lower(p, w0, nn):
-    """entropy_lower's search over the reference components (beta_a != 1)."""
+    """The old search of entropy_lower over the reference components (beta_a != 1)."""
 
     def tan(y):
         return ref_tangent(p, w0, nn, y)
@@ -341,7 +401,7 @@ def ref_lower(p, w0, nn):
             drops += 1
         if k > 10**5:
             break
-    horizontal, _ = horizontal_component(p, w0, nn)
+    horizontal, _ = ref_horizontal(p, nn)
     out = {
         "lower": max(best_tan, best_sec, horizontal, 0.0),
         "best_tan": best_tan,
@@ -362,6 +422,10 @@ def _rel_gap(new, old):
     return abs(new - old) / max(1.0, abs(old), abs(new))
 
 
+#: outputs of entropy_lower that the old search only approximated from below
+SEARCHED = ("lower", "best_tan", "best_sec")
+
+
 class TestTwinBranchReference:
     """The line integrals n*c0 + c1*S reproduce the twin-branch formulas."""
 
@@ -369,10 +433,15 @@ class TestTwinBranchReference:
         """1,000+ constellations of all eight cases, |beta_a - 1| >= 1e-3,
         n up to 1000: every output within 1e-11 relative of the reference.
 
-        y_best and k_best are not compared: the golden-section search is
-        approximate, so a last-bit difference in the objective moves its
-        argmax (by up to ~1e-4), and secants k and k + 1 tie exactly when
-        S/n is an integer, so either index may win.
+        The suprema in SEARCHED are checked one-sidedly: the old search
+        evaluated a finite set of lines, so it falls short of the closed form
+        (here by up to 5.6e-5 relative); the closed form may not fall below
+        it by more than 1e-12 relative.  Where the old value is higher
+        still, rounding in its n*c0 + c1*S put it above the exact supremum
+        (by 1.7e-10 on one SP4 point with S/n near 5e3), and the 50-digit
+        supremum takes its place.
+        y_best and k_best are not compared: the closed forms put them at S/n
+        and floor(S/n), which the search only approximated.
         """
         rng = np.random.default_rng(88)
         worst, count = 0.0, 0
@@ -393,6 +462,11 @@ class TestTwinBranchReference:
                     new = getattr(report, name)
                     if old is None:
                         assert new is None, name
+                    elif name in SEARCHED:
+                        floor = old
+                        if new < old - 1e-12 * max(1.0, abs(old)):
+                            floor = min(old, float(_mp_suprema(params, omega0, n)[name]))
+                        assert new >= floor - 1e-12 * max(1.0, abs(old)), (name, params, n)
                     else:
                         pairs.append((new, old))
                 pairs.append((entropy_upper(params, omega0, n), ref_upper(params, omega0, n)))
@@ -517,8 +591,132 @@ class TestOverflow:
         with pytest.raises(GWIError, match="double"):
             entropy_report(ParamSet(4.0, 2.0, 4.0, 2.0), 1, 2000)
 
-    def test_limit_winner_keeps_inf(self):
-        """y_best = inf marks the y -> infinity limit as the winning tangent."""
-        report = entropy_report(ParamSet(1.8, 0.9, 2.8, 0.7), 1, 50)
-        assert report.y_best == math.inf
+    def test_tangent_point_is_mean_population(self):
+        """The best tangent point is S/n, finite even where S/n is 6.5e11."""
+        params = ParamSet(1.8, 0.9, 2.8, 0.7)
+        report = entropy_report(params, 1, 50)
+        assert report.y_best == _occupation(params, 1, 50) / 50
+        assert report.k_best == math.floor(report.y_best)
         assert math.isfinite(report.lower) and math.isfinite(report.upper)
+
+
+def _mp_suprema(params, omega0, n):
+    """50-digit suprema of the three lower-bound families and of E^L.
+
+    The best tangent is n*g(S/n), the best secant n*ghat(S/n) with ghat the
+    interpolant of g at the integers, and the horizontal component n*min_Z g
+    (0 on SP4, where g decreases to 0).  ghat >= g >= 0, so E^L = n*ghat(S/n).
+    g(x) loses about 2*log10(x) digits to cancellation, so the precision
+    grows with S/n.
+    """
+    digits = int(mpmath.log10(1 + _mp_occupation(params, omega0, n) / n))
+    with mpmath.workdps(50 + 2 * digits):
+        mbar = _mp_occupation(params, omega0, n) / n
+        k = mpmath.floor(mbar)
+
+        def g(x):
+            return _mp_divergence_rate(params, mpmath.mpf(x))
+
+        z, horizontal = 0, mpmath.mpf(0)
+        if params.beta_a != params.beta_h:
+            while g(z + 1) < g(z):
+                z += 1
+            horizontal = n * g(z)
+        best_sec = n * (g(k) + (mbar - k) * (g(k + 1) - g(k)))
+        return {"best_tan": n * g(mbar), "best_sec": best_sec,
+                "horizontal": horizontal, "lower": best_sec}
+
+
+def _supercritical(rng, case):
+    """A random constellation of ``case`` with beta_a in [1.1, 1.6)."""
+    while True:
+        params = random_params(rng, case, beta_hi=1.6)
+        if params.beta_a >= 1.1:
+            return params
+
+
+def _closed_form_points():
+    rng = np.random.default_rng(31)
+    points = []
+    for case in SP_CASES:
+        for draw in (random_params, _supercritical):
+            for _ in range(6):
+                params = draw(rng, case)
+                for n in (1, 10, 100, 1000):
+                    points.append((params, int(rng.integers(1, 21)), n))
+    for beta_a in NEAR_ONE:
+        for params in (ParamSet(beta_a, 0.6, 2.0, 1.9), ParamSet(beta_a, beta_a, 2.0, 1.9)):
+            points += [(params, 10, 10), (params, 10, 1000)]
+    return points
+
+
+#: supercritical SP4 inputs where the old search returned lower = 0
+OLD_ZERO_SP4 = [
+    (ParamSet(1.2, 1.2, 1.0, 1.5), 5, 100),
+    (ParamSet(1.1, 1.1, 2.0, 0.5), 1, 300),
+    (ParamSet(1.3, 1.3, 1.0, 1.5), 1, 100),
+    (ParamSet(1.5, 1.5, 0.5, 0.7), 20, 30),
+]
+
+
+class TestClosedFormReference:
+    """best_tan, best_sec and horizontal against 50-digit suprema."""
+
+    def test_matches_mpmath(self):
+        """All six bound cases, sub- and supercritical draws, SP4 and
+        beta_a = 1 +- 10^-e: each within 1e-12 relative."""
+        worst = 0.0
+        for params, omega0, n in _closed_form_points():
+            report = entropy_lower(params, omega0, n)
+            ref = _mp_suprema(params, omega0, n)
+            for name in ("best_tan", "best_sec", "horizontal"):
+                gap = _rel_gap(getattr(report, name), float(ref[name]))
+                assert gap <= 1e-12, (name, params, omega0, n)
+                worst = max(worst, gap)
+            assert report.y_best == pytest.approx(float(_mp_occupation(params, omega0, n) / n),
+                                                  rel=1e-12)
+        assert worst > 0.0
+
+    @pytest.mark.parametrize("params, omega0, n", OLD_ZERO_SP4)
+    def test_old_zero_sp4_is_positive(self, params, omega0, n):
+        report = entropy_report(params, omega0, n)
+        ref = float(_mp_suprema(params, omega0, n)["lower"])
+        assert 0.0 < ref <= report.upper
+        assert report.lower == pytest.approx(ref, rel=1e-6)
+        assert _rel_gap(report.lower, ref) <= 1e-12
+
+
+class TestHorizontalScanReference:
+    """The closed-form horizontal minimizer equals the old integer scan."""
+
+    def test_random_constellations(self):
+        rng = np.random.default_rng(47)
+        lambertw_branch = moved = 0
+        for i in range(600):
+            case = ("SP2", "SP3a", "SP3b", "SP3c", "SP3d")[i % 5]
+            params = (random_params if i % 2 else _supercritical)(rng, case)
+            n = int(rng.integers(1, 1001))
+            x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
+            if params.rate_a(x_star) <= 0.0:
+                lambertw_branch += 1
+            value, z = horizontal_component(params, 1, n)
+            ref_value, ref_z = ref_horizontal(params, n)
+            assert (z, value) == (ref_z, ref_value), (params, n)
+            moved += z > 0
+        assert lambertw_branch >= 50 and moved >= 100, (lambertw_branch, moved)
+
+
+class TestBoundOrder:
+    """0 <= E^L <= E^U where the old search let E^L overtake E^U."""
+
+    @pytest.mark.parametrize("n", [100, 300, 500, 1000])
+    def test_supercritical(self, n):
+        rng = np.random.default_rng(n)
+        points = [(_supercritical(rng, case), int(rng.integers(1, 21)))
+                  for case in ("SP2", "SP3b", "SP3c") for _ in range(10)]
+        points.append((ParamSet(1.1412442533744493, 0.9273376114944971,
+                                0.6419940810377196, 0.6419940810377196), 10))
+        for params, omega0 in points:
+            report = entropy_report(params, omega0, n)
+            assert 0.0 <= report.lower <= report.upper, (params, omega0, n)
+            assert math.isfinite(report.upper)
