@@ -25,6 +25,7 @@ from .params import (
 from .recursions import (
     CoeffRole,
     CoefficientPair,
+    Constellation,
     LogBoundReport,
     RecursionTrace,
     exact_log_hellinger,

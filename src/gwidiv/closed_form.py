@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .fixed_point import FixedPointResult, solve_fixed_point
-from .params import CaseError, CaseTag, GWIError, ParamSet, classify, lambda_weights, validate_order
-from .recursions import CoeffRole, CoefficientPair, select_coeffs
+from .params import CaseError, CaseTag, GWIError, ParamSet, lambda_weights, validate_order
+from .recursions import CoefficientPair, Constellation
 
 __all__ = [
     "ClosedFormTerms",
@@ -69,20 +69,17 @@ def _geom_quotient(d1: float, d2: float, n: int) -> float:
 
 def star_pair(params: ParamSet, lam: float) -> CoefficientPair:
     """The shared exact/lower pair (geometric means) used by the lower bound."""
-    case = classify(params, lam)
-    role = CoeffRole.EXACT if case.exactly_computable else CoeffRole.LOWER
-    return select_coeffs(params, lam, role)
+    return Constellation(params, lam).star
 
 
 def upper_pair(params: ParamSet, lam: float) -> CoefficientPair:
     """The pair feeding the closed-form upper bound (exact or case upper)."""
-    case = classify(params, lam)
-    if case in (CaseTag.SP3D, CaseTag.SP4):
+    c = Constellation(params, lam)
+    if c.case in (CaseTag.SP3D, CaseTag.SP4):
         raise CaseError(
-            f"no closed-form upper bound on {case.value}; only the trivial bound applies"
+            f"no closed-form upper bound on {c.case.value}; only the trivial bound applies"
         )
-    role = CoeffRole.EXACT if case.exactly_computable else CoeffRole.UPPER
-    return select_coeffs(params, lam, role)
+    return c.upper
 
 
 def _solve_for_pair(pair: CoefficientPair, beta_lambda: float) -> FixedPointResult:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .params import CaseTag, GWIError, ParamSet, classify, validate_order
 from .recursions import log_hellinger_bounds
 
@@ -30,8 +28,8 @@ __all__ = [
     "LAMBDA_GRID",
 ]
 
-#: default grid for optional optimization over the order lambda
-LAMBDA_GRID = tuple(np.round(np.arange(0.01, 1.0, 0.01), 2))
+#: the orders lambda = 0.01, 0.02, ..., 0.99 that optimize_bayes_upper tries
+LAMBDA_GRID = tuple(k / 100 for k in range(1, 100))
 
 
 @dataclass(frozen=True)
@@ -162,12 +160,12 @@ def np_type2_bound(
 
 
 def optimize_bayes_upper(
-    params: ParamSet, omega0: int, n: int, cfg: DecisionConfig, grid=LAMBDA_GRID
+    params: ParamSet, omega0: int, n: int, cfg: DecisionConfig
 ) -> tuple[float, float]:
-    """Minimize the Bayes upper bound over a lambda grid; returns (lam, bound)."""
+    """Minimize the Bayes upper bound over LAMBDA_GRID; returns (lam, bound)."""
     best_lam, best = None, math.inf
-    for lam in grid:
-        _, upper = bayes_risk_bounds(params, float(lam), omega0, n, cfg)
+    for lam in LAMBDA_GRID:
+        _, upper = bayes_risk_bounds(params, lam, omega0, n, cfg)
         if upper < best:
-            best_lam, best = float(lam), upper
+            best_lam, best = lam, upper
     return best_lam, best

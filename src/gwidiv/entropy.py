@@ -169,9 +169,17 @@ def secant_component(params: ParamSet, omega0: int, n: int, k: int) -> float:
 
 
 def _divergence(params: ParamSet, x: float) -> float:
-    """g(x) = f_A log(f_A/f_H) - f_A + f_H, the per-step Poisson divergence."""
+    """g(x) = f_A log(f_A/f_H) - f_A + f_H, the per-step Poisson divergence.
+
+    That form cancels where g is far below f_A, so for |u| < 0.1, with
+    u = (f_A - f_H)/f_H from the parameter gaps, g = f_H ((1+u) log1p(u) - u)
+    is summed as f_H sum_{k>=2} (-u)^k/(k(k-1)) up to k = 20.
+    """
     fa, fh = params.rate_a(x), params.rate_h(x)
-    return fa * (math.log(fa / fh) - 1.0) + fh
+    u = ((params.beta_a - params.beta_h) * x + params.alpha_a - params.alpha_h) / fh
+    if abs(u) >= 0.1:
+        return fa * (math.log(fa / fh) - 1.0) + fh
+    return fh * sum((-u) ** k / (k * (k - 1)) for k in range(20, 1, -1))
 
 
 def _excess(params: ParamSet, x: float) -> float:

@@ -181,12 +181,12 @@ def phi0_prime(params: ParamSet, lam: float) -> float:
     )
 
 
-def classify(params: ParamSet, lam: float, tol: float = RATIO_TOL) -> CaseTag:
+def classify(params: ParamSet, lam: float) -> CaseTag:
     """Assign the unique case tag of a valid (params, lambda) pair.
 
     Direct parameter equalities are tested exactly on the stored floats; the
     SP1 ratio test and the SP3c/SP3d integer test use the absolute tolerance
-    ``tol`` since they involve derived quantities.
+    ``RATIO_TOL`` since they involve derived quantities.
     """
     validate_order(lam)
     if params.no_immigration:
@@ -195,20 +195,20 @@ def classify(params: ParamSet, lam: float, tol: float = RATIO_TOL) -> CaseTag:
         return CaseTag.SP4
     if params.alpha_a == params.alpha_h:
         return CaseTag.SP2
-    if abs(params.alpha_a / params.alpha_h - params.beta_a / params.beta_h) <= tol:
+    if abs(params.alpha_a / params.alpha_h - params.beta_a / params.beta_h) <= RATIO_TOL:
         return CaseTag.SP1
     x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
     if x_star < 0.0:
         return CaseTag.SP3A if phi0_prime(params, lam) <= 0.0 else CaseTag.SP3B
     nearest = round(x_star)
-    if nearest >= 1 and abs(x_star - nearest) <= tol:
+    if nearest >= 1 and abs(x_star - nearest) <= RATIO_TOL:
         return CaseTag.SP3D
     return CaseTag.SP3C
 
 
-def case_details(params: ParamSet, lam: float, tol: float = RATIO_TOL) -> dict:
+def case_details(params: ParamSet, lam: float) -> dict:
     """Classification plus the diagnostics behind it (for reports)."""
-    tag = classify(params, lam, tol)
+    tag = classify(params, lam)
     details: dict = {"case": tag.value}
     if not params.no_immigration and params.beta_a != params.beta_h:
         x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)

@@ -6,7 +6,9 @@ slope) pair that bounds (or equals) the exponent function varphi on the
 nonnegative integers.  The linear constellations NI and SP1 admit exact
 values; everything else gets a lower bound from the geometric-mean pair and
 an upper bound from a family of case-specific linear majorants of phi, of
-which the pointwise minimum is reported.
+which the pointwise minimum is reported.  A :class:`Constellation` turns one
+(params, lambda) into its case, weights and pairs, each derived once; every
+public function here builds one per call.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Optional
 
 import numpy as np
@@ -35,6 +38,7 @@ __all__ = [
     "CoefficientPair",
     "RecursionTrace",
     "LogBoundReport",
+    "Constellation",
     "run_recursion",
     "select_coeffs",
     "upper_candidates",
@@ -45,8 +49,13 @@ __all__ = [
     "log_hellinger_bounds",
 ]
 
-#: cases that only admit bounds (complement of NI u SP1)
-BOUND_CASES = (CaseTag.SP2, CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C, CaseTag.SP3D, CaseTag.SP4)
+#: how far below phi a candidate majorant may pass on the lattice
+_MAJORANT_TOL = 1e-9
+
+#: the cases where the horizontal majorant of phi is informative
+_HUMP_CASES = (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C)
+
+_EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
 
 
 class CoeffRole(enum.Enum):
@@ -105,23 +114,6 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
     return RecursionTrace(a=a, b=b)
 
 
-def _exact_pair(params: ParamSet, lam: float) -> CoefficientPair:
-    return CoefficientPair(
-        p=_geometric_mean(params.alpha_a, params.alpha_h, lam),
-        q=_geometric_mean(params.beta_a, params.beta_h, lam),
-        role=CoeffRole.EXACT,
-        label="geometric-mean",
-    )
-
-
-def asymptote_pair(params: ParamSet, lam: float) -> CoefficientPair:
-    """The affine asymptote of varphi as x -> infinity (a valid majorant)."""
-    ratio = params.beta_a / params.beta_h
-    p = lam * params.alpha_a * ratio ** (lam - 1.0) + (1.0 - lam) * params.alpha_h * ratio**lam
-    q = _geometric_mean(params.beta_a, params.beta_h, lam)
-    return CoefficientPair(p=p, q=q, role=CoeffRole.ASYMPTOTE, label="asymptote")
-
-
 def _floor_x_max(params: ParamSet, lam: float, tol: float = 1e-12) -> int:
     """floor of the positive root of phi'(x) = 0 for hump-shaped phi (SP3b).
 
@@ -146,83 +138,195 @@ def _floor_x_max(params: ParamSet, lam: float, tol: float = 1e-12) -> int:
     return math.floor(0.5 * (lo + hi))
 
 
-def _phi_lattice(params: ParamSet, lam: float) -> Iterator[tuple[float, float]]:
-    """Yield (phi(x), varphi(x)) for x = 0, 1, 2, ... without end.
+class Constellation:
+    """One (params, lambda): its case, lambda weights and coefficient pairs.
 
-    The arithmetic is exactly that of :func:`phi_eval` and
-    :func:`varphi_value`, so every value is bit-identical to theirs; the
-    order check, the lambda weights and the gamma branch are done once.
+    The constructor validates lambda, classifies, and sets the weights and
+    the geometric-mean pair ``star`` (role EXACT on NI/SP1, LOWER
+    elsewhere).  The majorants of phi are built, and checked on the
+    lattice, on first use.  Each public function builds one object per
+    call; nothing is kept across calls.
     """
-    lam = validate_order(lam)
-    bl, al = lambda_weights(params, lam)
-    lam_h = 1.0 - lam
-    beta_a, beta_h, alpha_a, alpha_h = params.beta_a, params.beta_h, params.alpha_a, params.alpha_h
-    linear = params.gamma == 0.0
-    if linear:
-        p_lin = _geometric_mean(alpha_a, alpha_h, lam) - al
-        q_lin = _geometric_mean(beta_a, beta_h, lam) - bl
-    x = 0.0
-    while True:
-        fa = beta_a * x + alpha_a
-        fh = beta_h * x + alpha_h
-        if fa == 0.0 or fh == 0.0:
-            varphi = 0.0
+
+    def __init__(self, params: ParamSet, lam: float) -> None:
+        self.params = params
+        self.lam = validate_order(lam)
+        self.case = classify(params, self.lam)
+        self.weights = lambda_weights(params, self.lam)
+        role = CoeffRole.EXACT if self.case.exactly_computable else CoeffRole.LOWER
+        self.star = CoefficientPair(_geometric_mean(params.alpha_a, params.alpha_h, self.lam),
+                                    _geometric_mean(params.beta_a, params.beta_h, self.lam),
+                                    role, "geometric-mean")
+
+    @cached_property
+    def asymptote(self) -> CoefficientPair:
+        """The affine asymptote of varphi as x -> infinity (not checked here)."""
+        params, lam = self.params, self.lam
+        ratio = params.beta_a / params.beta_h
+        p = lam * params.alpha_a * ratio ** (lam - 1.0) + (1.0 - lam) * params.alpha_h * ratio**lam
+        return CoefficientPair(p=p, q=self.star.q, role=CoeffRole.ASYMPTOTE, label="asymptote")
+
+    @cached_property
+    def upper(self) -> CoefficientPair:
+        """The case pair: ``star`` on NI/SP1, the trivial pair on SP3d/SP4 and
+        a checked majorant of phi on SP2/SP3a/SP3b/SP3c."""
+        params, case = self.params, self.case
+        if case.exactly_computable:
+            return self.star
+        if case in (CaseTag.SP3D, CaseTag.SP4):
+            # only the trivial majorant exists under goal (Gc)
+            bl, al = self.weights
+            return CoefficientPair(p=al, q=bl, role=CoeffRole.UPPER, label="trivial")
+        if case in (CaseTag.SP3B, CaseTag.SP3C):
+            return self._require_majorant(self._secant_construction())
+        # secant(0,1) from p = varphi(0) (alpha itself on SP2); on SP3a this is
+        # the discrete tangent-or-secant through x=1 with the smallest admissible
+        # intercept, which always satisfies the x=2 domination constraint
+        p = params.alpha_a if case is CaseTag.SP2 else self.star.p
+        q = _geometric_mean(params.alpha_a + params.beta_a, params.alpha_h + params.beta_h,
+                            self.lam) - p
+        return self._require_majorant(
+            CoefficientPair(p=p, q=q, role=CoeffRole.UPPER, label="secant(0,1)"))
+
+    @cached_property
+    def uppers(self) -> tuple[CoefficientPair, ...]:
+        """Every non-trivial checked upper pair: case pair, asymptote, horizontal."""
+        case = self.case
+        if case.exactly_computable:
+            raise CaseError(_EXACT_ONLY.format(case.value))
+        pairs = [self.upper] if case in (CaseTag.SP2, *_HUMP_CASES) else []
+        if case is not CaseTag.SP4:
+            pairs.append(self._require_majorant(self.asymptote))
+        if case in _HUMP_CASES:
+            pairs.append(self._horizontal())
+        return tuple(pairs)
+
+    def _lattice(self) -> Iterator[tuple[float, float]]:
+        """Yield (phi(x), varphi(x)) for x = 0, 1, 2, ... without end.
+
+        The arithmetic is exactly that of :func:`phi_eval` and
+        :func:`varphi_value`, so every value is bit-identical to theirs.
+        """
+        params, lam, (bl, al) = self.params, self.lam, self.weights
+        beta_a, beta_h, alpha_a, alpha_h = (params.beta_a, params.beta_h,
+                                            params.alpha_a, params.alpha_h)
+        lam_h, linear = 1.0 - lam, params.gamma == 0.0
+        p_lin, q_lin = self.star.p - al, self.star.q - bl
+        x = 0.0
+        while True:
+            fa = beta_a * x + alpha_a
+            fh = beta_h * x + alpha_h
+            if fa == 0.0 or fh == 0.0:
+                varphi = 0.0
+            else:
+                varphi = math.exp(lam * math.log(fa) + lam_h * math.log(fh))
+            phi = p_lin + q_lin * x if linear else varphi - (al + bl * x)
+            yield phi, varphi
+            x += 1.0
+
+    def _secant_construction(self) -> CoefficientPair:
+        """Canonical upper pair for hump-shaped phi (SP3b, SP3c).
+
+        The crucial lattice points are j, j+1 around the continuous maximizer.
+        The secant through them majorizes phi outside [j, j+1] by concavity; if
+        its intercept is positive, the flatter line through (0, 0) and
+        (j, phi(j)) is used instead.
+        """
+        params, lam, (bl, al) = self.params, self.lam, self.weights
+        if self.case is CaseTag.SP3C:
+            j = math.floor((params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h))
+        elif phi_eval(params, lam, 0.0).phi_prime <= 0.0:
+            # SP3a/SP3b boundary within float noise: the maximum sits at 0
+            j = 0
         else:
-            varphi = math.exp(lam * math.log(fa) + lam_h * math.log(fh))
-        phi = p_lin + q_lin * x if linear else varphi - (al + bl * x)
-        yield phi, varphi
-        x += 1.0
+            j = _floor_x_max(params, lam)
+        phi_j = phi_eval(params, lam, float(j)).phi
+        phi_j1 = phi_eval(params, lam, float(j + 1)).phi
+        if phi_j <= phi_j1:
+            j += 1
+            phi_j, phi_j1 = phi_j1, phi_eval(params, lam, float(j + 1)).phi
+        slope_sec = phi_j1 - phi_j
+        intercept_sec = phi_j - j * slope_sec
+        if intercept_sec <= 0.0:
+            r, s = intercept_sec, slope_sec
+            label = f"secant({j},{j + 1})"
+        else:
+            # line through (0, 0) and (j, phi(j)); j >= 1 here since phi(0) <= 0
+            r, s = 0.0, phi_j / j
+            label = f"chord(0,{j})"
+        return CoefficientPair(p=r + al, q=s + bl, role=CoeffRole.UPPER, label=label)
 
+    def _horizontal(self) -> CoefficientPair:
+        """The checked horizontal line through phi's lattice maximum z*.
 
-def lattice_argmax_phi(params: ParamSet, lam: float) -> int:
-    """argmax of phi over the nonnegative integers, ties toward the smaller.
+        phi is strictly concave off NI/SP1 and eventually decreasing when
+        beta_a != beta_h, so its first non-increase marks z* (ties toward
+        the smaller point).
+        """
+        scan = self._lattice()
+        top, _ = next(scan)
+        for z, (phi, _) in enumerate(scan):
+            if phi <= top:
+                break
+            top = phi
+            if z >= 10**7:  # unreachable for valid constellations
+                raise GWIError("lattice argmax scan did not terminate")
+        bl, al = self.weights
+        return self._require_majorant(CoefficientPair(
+            p=top + al, q=bl, role=CoeffRole.HORIZONTAL, label=f"horizontal(z*={z})"))
 
-    Needs beta_a != beta_h so that phi eventually decreases; strict concavity
-    (gamma != 0) makes the first non-increase the stopping signal.
-    """
-    if params.beta_a == params.beta_h:
-        raise CaseError("phi has no lattice maximum when beta_a == beta_h")
-    scan = _phi_lattice(params, lam)
-    val, _ = next(scan)
-    for k, (nxt, _) in enumerate(scan):
-        if nxt <= val:
-            return k
-        val = nxt
-        if k >= 10**7:  # unreachable for valid constellations
-            raise GWIError("lattice argmax scan did not terminate")
+    def _require_majorant(self, pair: CoefficientPair) -> CoefficientPair:
+        """``pair``, after an explicit lattice check that p + q*x >= varphi(x)
+        on {0, ..., X_check}.
 
+        Beyond the point where the candidate line dominates the asymptote of
+        varphi, concavity makes the finite check sufficient.
+        """
+        bl, al = self.weights
+        r, s = pair.p - al, pair.q - bl
+        r_t, s_t = self.asymptote.p - al, self.asymptote.q - bl
+        if s < s_t - 1e-12:
+            raise GWIError(f"slope of {pair.label} pair below the asymptote slope")
+        if abs(s - s_t) <= 1e-12:
+            if r < r_t - _MAJORANT_TOL:
+                raise GWIError(f"intercept of {pair.label} pair below the asymptote intercept")
+            x_check = 2
+        else:
+            x_check = max(2, math.ceil((r_t - r) / (s - s_t)) + 1)
+        for x, (phi, _) in zip(range(x_check + 1), self._lattice()):
+            if phi > r + s * x + _MAJORANT_TOL:
+                raise GWIError(f"{pair.label} pair fails to dominate phi at x={x}")
+        return pair
 
-def _secant_construction(params: ParamSet, lam: float, case: CaseTag) -> CoefficientPair:
-    """Canonical upper pair for hump-shaped phi (SP3b, SP3c).
+    def log_delta(self) -> float:
+        """log of the SP3d separation constant delta < 1.
 
-    The crucial lattice points are j, j+1 around the continuous maximizer.
-    The secant through them majorizes phi outside [j, j+1] by concavity; if
-    its intercept is positive, the flatter line through (0, 0) and
-    (j, phi(j)) is used instead.
-    """
-    bl, al = lambda_weights(params, lam)
-    if case is CaseTag.SP3C:
-        j = math.floor((params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h))
-    elif phi_eval(params, lam, 0.0).phi_prime <= 0.0:
-        # SP3a/SP3b boundary within float noise: the maximum sits at 0
-        j = 0
-    else:
-        j = _floor_x_max(params, lam)
-    phi_j = phi_eval(params, lam, float(j)).phi
-    phi_j1 = phi_eval(params, lam, float(j + 1)).phi
-    if phi_j <= phi_j1:
-        j += 1
-        phi_j, phi_j1 = phi_j1, phi_eval(params, lam, float(j + 1)).phi
-    slope_sec = phi_j1 - phi_j
-    intercept_sec = phi_j - j * slope_sec
-    if intercept_sec <= 0.0:
-        r, s = intercept_sec, slope_sec
-        label = f"secant({j},{j + 1})"
-    else:
-        # line through (0, 0) and (j, phi(j)); j >= 1 here since phi(0) <= 0
-        r, s = 0.0, phi_j / j
-        label = f"chord(0,{j})"
-    return CoefficientPair(p=r + al, q=s + bl, role=CoeffRole.UPPER, label=label)
+        delta = sup over integer x of exp(g(x)), g(x) = phi(x) - eps*exp(-varphi(x))
+        with eps = 1 - exp(phi(0)); the Hellinger integral then obeys
+        H_n <= delta^(floor(n/2)).
+
+        g is concave on [0, inf): phi is concave, and -exp(-v) is concave and
+        nondecreasing in the concave varphi.  So once g(x) < best - margin for
+        the running maximum best, no later lattice point exceeds best, and the
+        scan stops (at any x; the crossing point x* plays no part).  The margin
+        1e-9*max(1, varphi(x), |best|) is far above the rounding error of g, a
+        few ulps of max(1, varphi), so best is also the float a scan over every
+        lattice point would return.  The scan gives up after 10^7 points.
+        """
+        if self.case is not CaseTag.SP3D:
+            raise CaseError(f"separation constant only defined on SP3d, got {self.case.value}")
+        scan = self._lattice()
+        phi_0, varphi_0 = next(scan)
+        eps = 1.0 - math.exp(phi_0)
+        best = phi_0 - eps * math.exp(-varphi_0)
+        for x, (phi_x, varphi_x) in enumerate(scan, start=1):
+            g = phi_x - eps * math.exp(-varphi_x)
+            if g > best:
+                best = g
+            elif g < best - 1e-9 * max(1.0, varphi_x, abs(best)):
+                return best
+            if x >= 10**7:
+                raise GWIError("separation-constant scan did not terminate")
 
 
 def select_coeffs(params: ParamSet, lam: float, role: CoeffRole) -> CoefficientPair:
@@ -233,106 +337,30 @@ def select_coeffs(params: ParamSet, lam: float, role: CoeffRole) -> CoefficientP
     asymptote degenerates on SP4 and the horizontal majorant is informative
     only on SP3a/SP3b/SP3c).
     """
-    lam = validate_order(lam)
-    case = classify(params, lam)
-    bl, al = lambda_weights(params, lam)
-
+    c = Constellation(params, lam)
+    case = c.case
     if role is CoeffRole.EXACT:
         if not case.exactly_computable:
             raise CaseError(f"exact coefficients only exist on NI/SP1, case is {case.value}")
-        return _exact_pair(params, lam)
-
+        return c.star
     if case.exactly_computable:
-        raise CaseError(
-            f"case {case.value} is exactly computable; request CoeffRole.EXACT instead"
-        )
-
+        raise CaseError(_EXACT_ONLY.format(case.value))
     if role is CoeffRole.LOWER:
-        pair = _exact_pair(params, lam)
-        return CoefficientPair(p=pair.p, q=pair.q, role=CoeffRole.LOWER, label="geometric-mean")
-
+        return c.star
     if role is CoeffRole.ASYMPTOTE:
         if case is CaseTag.SP4:
             raise CaseError("asymptote pair degenerates to the trivial bound on SP4")
-        pair = asymptote_pair(params, lam)
-        _require_majorant(params, lam, pair)
-        return pair
-
+        return c._require_majorant(c.asymptote)
     if role is CoeffRole.HORIZONTAL:
-        if case not in (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C):
+        if case not in _HUMP_CASES:
             raise CaseError(f"horizontal majorant is trivial on {case.value}")
-        z = lattice_argmax_phi(params, lam)
-        pair = CoefficientPair(
-            p=phi_eval(params, lam, float(z)).phi + al,
-            q=bl,
-            role=CoeffRole.HORIZONTAL,
-            label=f"horizontal(z*={z})",
-        )
-        _require_majorant(params, lam, pair)
-        return pair
-
-    # role is UPPER
-    if case is CaseTag.SP2:
-        alpha = params.alpha_a
-        pair = CoefficientPair(
-            p=alpha,
-            q=_geometric_mean(alpha + params.beta_a, alpha + params.beta_h, lam) - alpha,
-            role=CoeffRole.UPPER,
-            label="secant(0,1)",
-        )
-    elif case is CaseTag.SP3A:
-        # discrete tangent-or-secant through x=1 with the smallest admissible
-        # intercept; this choice always satisfies the x=2 domination constraint
-        p = _geometric_mean(params.alpha_a, params.alpha_h, lam)
-        q = (
-            _geometric_mean(params.alpha_a + params.beta_a, params.alpha_h + params.beta_h, lam)
-            - p
-        )
-        pair = CoefficientPair(p=p, q=q, role=CoeffRole.UPPER, label="secant(0,1)")
-    elif case in (CaseTag.SP3B, CaseTag.SP3C):
-        pair = _secant_construction(params, lam, case)
-    else:  # SP3d, SP4: only the trivial majorant exists under goal (Gc)
-        pair = CoefficientPair(p=al, q=bl, role=CoeffRole.UPPER, label="trivial")
-        return pair
-    _require_majorant(params, lam, pair)
-    return pair
-
-
-def _require_majorant(params: ParamSet, lam: float, pair: CoefficientPair, tol: float = 1e-9) -> None:
-    """Explicit lattice check that p + q*x >= varphi(x) on {0, ..., X_check}.
-
-    Beyond the point where the candidate line dominates the asymptote of
-    varphi, concavity makes the finite check sufficient.
-    """
-    bl, al = lambda_weights(params, lam)
-    r = pair.p - al
-    s = pair.q - bl
-    asym = asymptote_pair(params, lam)
-    r_t, s_t = asym.p - al, asym.q - bl
-    if s < s_t - 1e-12:
-        raise GWIError(f"slope of {pair.label} pair below the asymptote slope")
-    if abs(s - s_t) <= 1e-12:
-        if r < r_t - tol:
-            raise GWIError(f"intercept of {pair.label} pair below the asymptote intercept")
-        x_check = 2
-    else:
-        x_check = max(2, math.ceil((r_t - r) / (s - s_t)) + 1)
-    for x, (phi, _) in zip(range(x_check + 1), _phi_lattice(params, lam)):
-        if phi > r + s * x + tol:
-            raise GWIError(f"{pair.label} pair fails to dominate phi at x={x}")
+        return c._horizontal()
+    return c.upper
 
 
 def upper_candidates(params: ParamSet, lam: float) -> list[CoefficientPair]:
     """All non-trivial upper-pair constructions applicable to the case."""
-    case = classify(params, lam)
-    candidates: list[CoefficientPair] = []
-    if case in (CaseTag.SP2, CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C):
-        candidates.append(select_coeffs(params, lam, CoeffRole.UPPER))
-    if case is not CaseTag.SP4:
-        candidates.append(select_coeffs(params, lam, CoeffRole.ASYMPTOTE))
-    if case in (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C):
-        candidates.append(select_coeffs(params, lam, CoeffRole.HORIZONTAL))
-    return candidates
+    return list(Constellation(params, lam).uppers)
 
 
 def log_bound_sequence(
@@ -371,54 +399,24 @@ def exact_log_hellinger(params: ParamSet, lam: float, omega0: int, n: int) -> fl
     geometric-mean slope; the second term vanishes on NI.  Horizon n = 0
     gives 0 (the two restricted laws coincide).
     """
-    case = classify(params, lam)
-    if not case.exactly_computable:
-        raise CaseError(
-            f"exact values only exist on NI/SP1 (got {case.value}); "
-            "use recursive_log_bounds"
-        )
+    c = Constellation(params, lam)
+    if not c.case.exactly_computable:
+        raise CaseError(f"exact values only exist on NI/SP1 (got {c.case.value}); "
+                        "use recursive_log_bounds")
     if omega0 < 1:
         raise GWIError("initial population omega0 must be >= 1")
     if n < 0:
         raise GWIError("horizon n must be >= 0")
     if n == 0:
         return 0.0
-    pair = _exact_pair(params, lam)
-    trace = run_recursion(pair.p, pair.q, params, lam, n)
+    trace = run_recursion(c.star.p, c.star.q, params, lam, n)
     tail = params.alpha_a / params.beta_a
     return float(trace.a[n] * omega0 + tail * trace.a[1:].sum())
 
 
 def sp3d_log_delta(params: ParamSet, lam: float) -> float:
-    """log of the SP3d separation constant delta < 1.
-
-    delta = sup over integer x of exp(g(x)), g(x) = phi(x) - eps*exp(-varphi(x))
-    with eps = 1 - exp(phi(0)); the Hellinger integral then obeys
-    H_n <= delta^(floor(n/2)).
-
-    g is concave on [0, inf): phi is concave, and -exp(-v) is concave and
-    nondecreasing in the concave varphi.  So once g(x) < best - margin for
-    the running maximum best, no later lattice point exceeds best, and the
-    scan stops (at any x; the crossing point x* plays no part).  The margin
-    1e-9*max(1, varphi(x), |best|) is far above the rounding error of g, a
-    few ulps of max(1, varphi), so best is also the float a scan over every
-    lattice point would return.  The scan gives up after 10^7 points.
-    """
-    case = classify(params, lam)
-    if case is not CaseTag.SP3D:
-        raise CaseError(f"separation constant only defined on SP3d, got {case.value}")
-    scan = _phi_lattice(params, lam)
-    phi_0, varphi_0 = next(scan)
-    eps = 1.0 - math.exp(phi_0)
-    best = phi_0 - eps * math.exp(-varphi_0)
-    for x, (phi_x, varphi_x) in enumerate(scan, start=1):
-        g = phi_x - eps * math.exp(-varphi_x)
-        if g > best:
-            best = g
-        elif g < best - 1e-9 * max(1.0, varphi_x, abs(best)):
-            return best
-        if x >= 10**7:
-            raise GWIError("separation-constant scan did not terminate")
+    """log of the SP3d separation constant delta < 1 (see :meth:`Constellation.log_delta`)."""
+    return Constellation(params, lam).log_delta()
 
 
 def recursive_log_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> LogBoundReport:
@@ -429,24 +427,21 @@ def recursive_log_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     asymptote pair, horizontal pair, the SP3d separation bound) and the
     generally valid bound log 1 = 0.
     """
-    lam = validate_order(lam)
-    case = classify(params, lam)
+    c = Constellation(params, lam)
+    lam, case = c.lam, c.case
     if case.exactly_computable:
-        raise CaseError(
-            f"case {case.value} admits exact values; use exact_log_hellinger"
-        )
+        raise CaseError(f"case {case.value} admits exact values; use exact_log_hellinger")
     if n < 1:
         raise GWIError("horizon n must be >= 1 for bounds")
-    lower_pair = select_coeffs(params, lam, CoeffRole.LOWER)
-    log_lower = float(log_bound_sequence(lower_pair, params, lam, omega0, n)[n])
+    log_lower = float(log_bound_sequence(c.star, params, lam, omega0, n)[n])
 
     best_upper, best_label = 0.0, "cutoff(1)"
-    for pair in upper_candidates(params, lam):
+    for pair in c.uppers:
         value = float(log_bound_sequence(pair, params, lam, omega0, n)[n])
         if value < best_upper:
             best_upper, best_label = value, pair.label
     if case is CaseTag.SP3D:
-        value = (n // 2) * sp3d_log_delta(params, lam)
+        value = (n // 2) * c.log_delta()
         if value < best_upper:
             best_upper, best_label = value, "separation-delta"
 

@@ -43,7 +43,7 @@ from gwidiv import (
     solve_fixed_point,
 )
 from gwidiv.closed_form import asymptotic_log_slope, star_pair, upper_pair
-from gwidiv.recursions import asymptote_pair
+from gwidiv.recursions import Constellation
 
 from conftest import ALL_CASES, random_params
 
@@ -93,7 +93,7 @@ def test_criterion_02_case_atlas():
     for beta_a, sign in [(3.7, 1), (3.6, 0), (3.5, -1)]:
         params = ParamSet(beta_a, 0.9, 2.0, 1.0)
         bl, al = lambda_weights(params, 0.5)
-        intercept = asymptote_pair(params, 0.5).p - al
+        intercept = Constellation(params, 0.5).asymptote.p - al
         if sign == 0:
             ok &= abs(intercept) <= 1e-6
         else:

@@ -23,7 +23,7 @@ from gwidiv import (
     tangent_component_limit,
     tangent_derivative_at_ystar,
 )
-from gwidiv.entropy import _occupation, horizontal_component
+from gwidiv.entropy import _occupation, _stationary_point, horizontal_component
 
 from conftest import ALL_CASES, random_params
 
@@ -686,8 +686,24 @@ class TestClosedFormReference:
         assert _rel_gap(report.lower, ref) <= 1e-12
 
 
+def _mp_horizontal(params, n):
+    """(z*, n*g(z*)) in 60 digits, z* the argmin of g over the two lattice
+    points around the float stationary point (0 when that is not positive)."""
+    x_min = _stationary_point(params)
+    with mpmath.workdps(60):
+        def g(x):
+            return _mp_divergence_rate(params, mpmath.mpf(x))
+
+        z = 0
+        if x_min > 0.0:
+            z = math.floor(x_min)
+            if g(z + 1) < g(z):
+                z += 1
+        return z, n * g(z)
+
+
 class TestHorizontalScanReference:
-    """The closed-form horizontal minimizer equals the old integer scan."""
+    """The closed-form horizontal minimizer and its value against 60 digits."""
 
     def test_random_constellations(self):
         rng = np.random.default_rng(47)
@@ -700,10 +716,33 @@ class TestHorizontalScanReference:
             if params.rate_a(x_star) <= 0.0:
                 lambertw_branch += 1
             value, z = horizontal_component(params, 1, n)
-            ref_value, ref_z = ref_horizontal(params, n)
-            assert (z, value) == (ref_z, ref_value), (params, n)
+            ref_z, ref_value = _mp_horizontal(params, n)
+            assert z == ref_z, (params, n)
+            assert _rel_gap(value, float(ref_value)) <= 1e-12, (params, n)
             moved += z > 0
         assert lambertw_branch >= 50 and moved >= 100, (lambertw_branch, moved)
+
+    def test_small_offspring_gaps(self):
+        """|beta_a - beta_h| in 1e-5..1e-2 puts z* as far out as 4e9, where
+        g(z*) is far below f_A and f_A (log(f_A/f_H) - 1) + f_H cancels: each
+        value within 1e-8 relative of 60 digits (worst 1.4e-10 here), and
+        none negative."""
+        rng = np.random.default_rng(48)
+        points = [(ParamSet(0.4630323144388291, 0.46305765026143847,
+                            2.3336092081154396, 1.2113111393328484), 7)]
+        while len(points) < 200:
+            gap = 10.0 ** rng.uniform(-5.0, -2.0)
+            beta_h = rng.uniform(0.3, 1.25)
+            alpha_a, alpha_h = rng.uniform(0.2, 2.0, size=2)
+            params = ParamSet(beta_h + rng.choice((-gap, gap)), beta_h, alpha_a, alpha_h)
+            if classify(params, 0.5).value in ("SP3a", "SP3b", "SP3c"):
+                points.append((params, int(rng.integers(1, 1001))))
+        for params, n in points:
+            value, z = horizontal_component(params, 1, n)
+            ref_z, ref_value = _mp_horizontal(params, n)
+            assert z == ref_z, (params, n)
+            assert value >= 0.0 and abs(value - ref_value) <= 1e-8 * ref_value, (params, n)
+        assert horizontal_component(*points[0][:1], 1, 7) == (1.4008349189245085e-15, 44297)
 
 
 class TestBoundOrder:

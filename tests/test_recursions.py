@@ -23,14 +23,9 @@ from gwidiv import (
     upper_candidates,
 )
 from gwidiv.params import GWIError, phi_eval, varphi_value
-from gwidiv.recursions import (
-    CoefficientPair,
-    _floor_x_max,
-    _phi_lattice,
-    _require_majorant,
-    asymptote_pair,
-    lattice_argmax_phi,
-)
+from gwidiv import recursions
+from gwidiv.closed_form import closed_form_log_lower, closed_form_log_upper
+from gwidiv.recursions import CoefficientPair, Constellation, _floor_x_max
 
 from conftest import ALL_CASES, random_any, random_params
 
@@ -365,7 +360,7 @@ def _ref_majorant_failure(params, lam, pair, tol=1e-9):
     """The message _require_majorant raises for ``pair``, or None."""
     bl, al = lambda_weights(params, lam)
     r, s = pair.p - al, pair.q - bl
-    asym = asymptote_pair(params, lam)
+    asym = Constellation(params, lam).asymptote
     r_t, s_t = asym.p - al, asym.q - bl
     if s < s_t - 1e-12:
         return f"slope of {pair.label} pair below the asymptote slope"
@@ -397,6 +392,17 @@ def _sp3d(rng, lam, gap):
             return params
 
 
+#: flat humps where phi's first float non-increase comes before the
+#: continuous maximizer's floor: the case pair keeps that floor (SP3b) or
+#: floor(x*) (SP3c), while the horizontal pair reports the float argmax
+FLAT_HUMPS = [
+    (ParamSet(1.4128184515088393, 1.4130391457726639, 1.5082431015426703, 2.4806306341807254),
+     0.2534580531603983, "secant(4404,4405)"),
+    (ParamSet(1.033993741049962, 1.0342344970529096, 4.087050962879281, 0.7278870549318246),
+     0.6528975137841735, "chord(0,13952)"),
+]
+
+
 class TestLatticeScansMatchReference:
     LAMS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
@@ -404,7 +410,7 @@ class TestLatticeScansMatchReference:
         for case in ALL_CASES:
             for lam in self.LAMS:
                 params = random_params(rng, case, lam)
-                for x, (phi, varphi) in zip(range(40), _phi_lattice(params, lam)):
+                for x, (phi, varphi) in zip(range(40), Constellation(params, lam)._lattice()):
                     assert phi == phi_eval(params, lam, float(x)).phi
                     assert varphi == varphi_value(params, lam, float(x))
 
@@ -427,12 +433,20 @@ class TestLatticeScansMatchReference:
             for _ in range(8):
                 params = random_params(rng, "SP3b", lam)
                 assert _floor_x_max(params, lam) == math.floor(_ref_solve_x_max(params, lam))
+        params, lam, _ = FLAT_HUMPS[0]
+        assert _floor_x_max(params, lam) == math.floor(_ref_solve_x_max(params, lam)) == 4403
 
     def test_lattice_argmax(self, rng):
-        for case in ("SP3a", "SP3b", "SP3c", "SP3d"):
+        """The horizontal pair sits at the lattice argmax of phi."""
+        for case in ("SP3a", "SP3b", "SP3c"):
             for lam in self.LAMS:
                 params = random_params(rng, case, lam)
-                assert lattice_argmax_phi(params, lam) == _ref_lattice_argmax_phi(params, lam)
+                horizontal = Constellation(params, lam).uppers[-1]
+                assert horizontal.label == f"horizontal(z*={_ref_lattice_argmax_phi(params, lam)})"
+        for params, lam, case_label in FLAT_HUMPS:
+            case_pair, _, horizontal = Constellation(params, lam).uppers
+            assert case_pair.label == case_label
+            assert horizontal.label == f"horizontal(z*={_ref_lattice_argmax_phi(params, lam)})"
 
     def test_majorant_check(self, rng):
         """Valid candidates pass both checks; lowered ones fail both, alike."""
@@ -445,7 +459,7 @@ class TestLatticeScansMatchReference:
                                                   pair.role, pair.label)
                         expected = _ref_majorant_failure(params, lam, shifted)
                         try:
-                            _require_majorant(params, lam, shifted)
+                            Constellation(params, lam)._require_majorant(shifted)
                         except GWIError as exc:
                             assert str(exc) == expected
                         else:
@@ -461,3 +475,31 @@ class TestLatticeScansMatchReference:
         report = log_hellinger_bounds(params, 0.5, 1, 10)
         assert report.case is CaseTag.SP3D
         assert report.log_lower <= report.log_upper <= 0.0
+
+
+class TestDerivedOnce:
+    """A Constellation classifies once and builds only the pairs asked for."""
+
+    def test_one_classify_per_recursive_bound(self, rng, monkeypatch):
+        points = [(random_params(rng, case), 0.5)
+                  for case in ("SP2", "SP3a", "SP3b", "SP3c", "SP3d", "SP4")]
+        points.append((ParamSet(0.8, 0.6, 2.0, 1.1), 0.5))
+        points += [(params, lam) for params, lam, _ in FLAT_HUMPS]
+        calls = []
+        real = recursions.classify
+        monkeypatch.setattr(recursions, "classify", lambda *a: calls.append(a) or real(*a))
+        for params, lam in points:
+            calls.clear()
+            recursive_log_bounds(params, lam, 3, 10)
+            assert len(calls) == 1, params
+
+    def test_closed_form_lower_checks_no_upper_pair(self, monkeypatch):
+        params = ParamSet(0.8, 0.6, 2.0, 1.1)
+        assert classify(params, 0.5) is CaseTag.SP3B
+        checked = []
+        monkeypatch.setattr(Constellation, "_require_majorant",
+                            lambda self, pair: checked.append(pair.label) or pair)
+        closed_form_log_lower(params, 0.5, 3, 10)
+        assert checked == []
+        closed_form_log_upper(params, 0.5, 3, 10)
+        assert checked == ["secant(0,1)"]
