@@ -29,7 +29,6 @@ from .recursions import (
     LogBoundReport,
     RecursionTrace,
     exact_log_hellinger,
-    log_bound_sequence,
     log_hellinger_bounds,
     recursive_log_bounds,
     run_recursion,

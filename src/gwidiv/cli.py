@@ -160,10 +160,11 @@ def _cmd_hellinger(args) -> dict:
         "inputs": _inputs_dict(args, params, lam, omega0=args.omega0, n=args.n),
     }
     if args.n == 0:
-        case = classify(params, lam)
+        # the trivial report, after log_hellinger_bounds has checked omega0
+        report = log_hellinger_bounds(params, lam, args.omega0, 0)
         out.update(
-            {"case": case.value, "log_exact": 0.0, "hellinger_exact": 1.0,
-             "log_lower": 0.0, "log_upper": 0.0, "method": "horizon-0"}
+            {"case": report.case.value, "log_exact": 0.0, "hellinger_exact": 1.0,
+             "log_lower": 0.0, "log_upper": 0.0, "method": report.method}
         )
         return out
     if args.method == "exact" and not classify(params, lam).exactly_computable:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .fixed_point import FixedPointResult, solve_fixed_point
-from .params import CaseError, CaseTag, GWIError, ParamSet, lambda_weights, validate_order
+from .params import CaseError, CaseTag, GWIError, ParamSet, lambda_weights
 from .recursions import CoefficientPair, Constellation
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "closed_form_lower_terms",
     "closed_form_upper_terms",
     "asymptotic_log_slope",
-    "star_pair",
-    "upper_pair",
 ]
 
 #: below this gap the difference quotients switch to their analytic limits
@@ -67,21 +65,6 @@ def _geom_quotient(d1: float, d2: float, n: int) -> float:
     return (d1**n - d2**n) / (d1 - d2)
 
 
-def star_pair(params: ParamSet, lam: float) -> CoefficientPair:
-    """The shared exact/lower pair (geometric means) used by the lower bound."""
-    return Constellation(params, lam).star
-
-
-def upper_pair(params: ParamSet, lam: float) -> CoefficientPair:
-    """The pair feeding the closed-form upper bound (exact or case upper)."""
-    c = Constellation(params, lam)
-    if c.case in (CaseTag.SP3D, CaseTag.SP4):
-        raise CaseError(
-            f"no closed-form upper bound on {c.case.value}; only the trivial bound applies"
-        )
-    return c.upper
-
-
 def _solve_for_pair(pair: CoefficientPair, beta_lambda: float) -> FixedPointResult:
     try:
         return solve_fixed_point(pair.q, beta_lambda)
@@ -96,11 +79,10 @@ def closed_form_lower_terms(
     params: ParamSet, lam: float, omega0: int, n: int, explicit: bool = False
 ) -> ClosedFormTerms:
     """Terms of log C^L_n from the tangent linearization at the fixed point."""
-    lam = validate_order(lam)
+    c = Constellation(params, lam)
     if omega0 < 1 or n < 1:
         raise GWIError("need omega0 >= 1 and n >= 1")
-    bl, al = lambda_weights(params, lam)
-    pair = star_pair(params, lam)
+    (bl, al), pair = c.weights, c.star
     fp = _solve_for_pair(pair, bl)
     x0 = fp.x0_under if explicit else fp.x0
     d_t = pair.q * math.exp(x0)
@@ -146,11 +128,14 @@ def closed_form_upper_terms(
     params: ParamSet, lam: float, omega0: int, n: int, explicit: bool = False
 ) -> ClosedFormTerms:
     """Terms of log C^G_n from the secant linearization through the fixed point."""
-    lam = validate_order(lam)
+    c = Constellation(params, lam)
     if omega0 < 1 or n < 1:
         raise GWIError("need omega0 >= 1 and n >= 1")
-    bl, al = lambda_weights(params, lam)
-    pair = upper_pair(params, lam)
+    if c.case in (CaseTag.SP3D, CaseTag.SP4):
+        raise CaseError(
+            f"no closed-form upper bound on {c.case.value}; only the trivial bound applies"
+        )
+    (bl, al), pair = c.weights, c.upper
     fp = _solve_for_pair(pair, bl)
     fallback = False
     if explicit:

@@ -101,11 +101,20 @@ def approx_params(sde: SDEParams, m: int) -> ParamSet:
     )
 
 
-def time_horizon(sde: SDEParams, m: int, t: float) -> int:
-    """floor(sigma^2 m t), with a 1e-9 upward nudge against floor misses."""
+def _check_time(t: float) -> None:
+    if not math.isfinite(t):
+        raise GWIError(f"time horizon t must be finite, got {t}")
     if t < 0.0:
         raise GWIError("time horizon t must be >= 0")
-    return int(math.floor(sde.sigma**2 * m * t + 1e-9))
+
+
+def time_horizon(sde: SDEParams, m: int, t: float) -> int:
+    """floor(sigma^2 m t), with a 1e-9 upward nudge against floor misses."""
+    _check_time(t)
+    steps = sde.sigma**2 * m * t + 1e-9
+    if not math.isfinite(steps):
+        raise GWIError(f"horizon sigma^2 m t overflows a double at t = {t}, m = {m}")
+    return int(math.floor(steps))
 
 
 def prelimit_log_bounds(
@@ -132,8 +141,7 @@ def prelimit_log_bounds(
 def limit_log_bounds(sde: SDEParams, lam: float, t: float) -> tuple[float, float]:
     """Log bounds for the m -> infinity Hellinger integral limit at time t."""
     lam = validate_order(lam)
-    if t < 0.0:
-        raise GWIError("time horizon t must be >= 0")
+    _check_time(t)
     if t == 0.0:
         return 0.0, 0.0
     kl, cap = limit_scalars(sde, lam)
@@ -165,17 +173,22 @@ def limit_log_bounds(sde: SDEParams, lam: float, t: float) -> tuple[float, float
         - u1 * x0
         - eta / s2 * u2
     )
+    if not (math.isfinite(log_lower) and math.isfinite(log_upper)):
+        raise GWIError(f"limit log bounds overflow a double at t = {t}")
     return log_lower, log_upper
 
 
 def limit_entropy(sde: SDEParams, t: float) -> float:
     """Exact diffusion-limit relative entropy at time t (closed form)."""
-    if t < 0.0:
-        raise GWIError("time horizon t must be >= 0")
+    _check_time(t)
     s2 = sde.sigma**2
     ka, kh, eta, x0 = sde.kappa_a, sde.kappa_h, sde.eta, sde.x0_tilde
     if ka > 0.0:
-        return (ka - kh) ** 2 / (2.0 * s2 * ka) * (
+        value = (ka - kh) ** 2 / (2.0 * s2 * ka) * (
             (x0 - eta / ka) * (1.0 - math.exp(-ka * t)) + eta * t
         )
-    return kh**2 / (2.0 * s2) * (0.5 * eta * t * t + x0 * t)
+    else:
+        value = kh**2 / (2.0 * s2) * (0.5 * eta * t * t + x0 * t)
+    if not math.isfinite(value):
+        raise GWIError(f"limit entropy overflows a double at t = {t}")
+    return value

@@ -28,6 +28,7 @@ __all__ = [
     "lambda_weights",
     "classify",
     "case_details",
+    "phi0_prime",
     "phi_eval",
     "varphi_value",
     "PhiDerivatives",

@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Optional
 
-import numpy as np
-
 from .params import (
     CaseError,
     CaseTag,
@@ -42,7 +40,6 @@ __all__ = [
     "run_recursion",
     "select_coeffs",
     "upper_candidates",
-    "log_bound_sequence",
     "exact_log_hellinger",
     "sp3d_log_delta",
     "recursive_log_bounds",
@@ -56,6 +53,8 @@ _MAJORANT_TOL = 1e-9
 _HUMP_CASES = (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C)
 
 _EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
+
+_OMEGA0 = "initial population omega0 must be >= 1"
 
 
 class CoeffRole(enum.Enum):
@@ -86,16 +85,17 @@ class CoefficientPair:
 
 @dataclass(frozen=True)
 class RecursionTrace:
-    """a[0..n] and b[0..n] with a[0] = b[0] = 0."""
+    """a_n, b_1 + ... + b_n (added in order) and a_1 + ... + a_n (compensated)."""
 
-    a: np.ndarray
-    b: np.ndarray
+    a_n: float
+    b_sum: float
+    a_sum: float
 
 
 def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> RecursionTrace:
     """Run a_k = q*exp(a_{k-1}) - beta_lambda, b_k = p*exp(a_{k-1}) - alpha_lambda.
 
-    For q > 0 the b-sequence satisfies the linear interrelation
+    A scalar fold from a_0 = b_0 = 0 that keeps no sequence.  For q > 0,
     b_k = (p/q) a_k + (p/q) beta_lambda - alpha_lambda exactly.
     """
     validate_order(lam)
@@ -103,18 +103,24 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
         raise GWIError("recursion horizon n must be >= 1")
     if p < 0.0 or q < 0.0:
         raise GWIError("recursion coefficients must be nonnegative")
-    bl, al = lambda_weights(params, lam)
-    a = np.zeros(n + 1)
-    b = np.zeros(n + 1)
-    for k in range(1, n + 1):
+    # Python floats throughout: numpy scalars would warn on the inf - inf below
+    p, q, (bl, al) = float(p), float(q), map(float, lambda_weights(params, lam))
+    a = b_sum = a_sum = comp = 0.0
+    for _ in range(n):
         # the a_1 > 0 branch diverges doubly exponentially; saturate at inf
-        e = math.exp(a[k - 1]) if a[k - 1] < 709.0 else math.inf
-        a[k] = q * e - bl if q > 0.0 else -bl
-        b[k] = p * e - al if p > 0.0 else -al
-    return RecursionTrace(a=a, b=b)
+        e = math.exp(a) if a < 709.0 else math.inf
+        a = q * e - bl if q > 0.0 else -bl
+        b_sum += p * e - al if p > 0.0 else -al
+        # TwoSum: comp collects the exact rounding error of each addition
+        t = a_sum + a
+        z = t - a_sum
+        comp += (a_sum - (t - z)) + (a - z)
+        a_sum = t
+    # once a saturates, a_sum is inf and comp nan
+    return RecursionTrace(a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum)
 
 
-def _floor_x_max(params: ParamSet, lam: float, tol: float = 1e-12) -> int:
+def _floor_x_max(params: ParamSet, lam: float) -> int:
     """floor of the positive root of phi'(x) = 0 for hump-shaped phi (SP3b).
 
     Bisection; it stops once floor(lo) == floor(hi), since every later
@@ -129,7 +135,7 @@ def _floor_x_max(params: ParamSet, lam: float, tol: float = 1e-12) -> int:
         hi *= 2.0
         if hi > 1e12:
             raise GWIError("failed to bracket the maximum of phi")
-    while hi - lo > tol and math.floor(lo) != math.floor(hi):
+    while hi - lo > 1e-12 and math.floor(lo) != math.floor(hi):
         mid = 0.5 * (lo + hi)
         if phi_eval(params, lam, mid).phi_prime > 0.0:
             lo = mid
@@ -363,17 +369,6 @@ def upper_candidates(params: ParamSet, lam: float) -> list[CoefficientPair]:
     return list(Constellation(params, lam).uppers)
 
 
-def log_bound_sequence(
-    pair: CoefficientPair, params: ParamSet, lam: float, omega0: int, n: int
-) -> np.ndarray:
-    """log of exp{a_k*omega0 + sum_{i<=k} b_i} for k = 0..n (no cutoff at 1)."""
-    if omega0 < 1:
-        raise GWIError("initial population omega0 must be >= 1")
-    trace = run_recursion(pair.p, pair.q, params, lam, n)
-    cum_b = np.concatenate(([0.0], np.cumsum(trace.b[1:])))
-    return trace.a * omega0 + cum_b
-
-
 @dataclass(frozen=True)
 class LogBoundReport:
     """Log-scale Hellinger report: lower/upper bounds, exact value if any."""
@@ -392,6 +387,42 @@ class LogBoundReport:
                 raise GWIError("exact value must lie between the bounds")
 
 
+def _log_end(pair: CoefficientPair, c: Constellation, omega0: int, n: int) -> float:
+    """log of exp{a_n*omega0 + sum_{k<=n} b_k} for ``pair`` (no cutoff at 1)."""
+    trace = run_recursion(pair.p, pair.q, c.params, c.lam, n)
+    return trace.a_n * omega0 + trace.b_sum
+
+
+def _exact(c: Constellation, omega0: int, n: int) -> float:
+    if omega0 < 1:
+        raise GWIError(_OMEGA0)
+    if n < 0:
+        raise GWIError("horizon n must be >= 0")
+    if n == 0:
+        return 0.0
+    trace = run_recursion(c.star.p, c.star.q, c.params, c.lam, n)
+    return trace.a_n * omega0 + c.params.alpha_a / c.params.beta_a * trace.a_sum
+
+
+def _bounds(c: Constellation, omega0: int, n: int) -> LogBoundReport:
+    if n < 1:
+        raise GWIError("horizon n must be >= 1 for bounds")
+    if omega0 < 1:
+        raise GWIError(_OMEGA0)
+    log_lower = _log_end(c.star, c, omega0, n)
+    best_upper, best_label = 0.0, "cutoff(1)"
+    for pair in c.uppers:
+        value = _log_end(pair, c, omega0, n)
+        if value < best_upper:
+            best_upper, best_label = value, pair.label
+    if c.case is CaseTag.SP3D:
+        value = (n // 2) * c.log_delta()
+        if value < best_upper:
+            best_upper, best_label = value, "separation-delta"
+    return LogBoundReport(log_lower=log_lower, log_upper=best_upper, log_exact=None,
+                          method=f"lower:geometric-mean upper:{best_label}", case=c.case)
+
+
 def exact_log_hellinger(params: ParamSet, lam: float, omega0: int, n: int) -> float:
     """Recursively computed exact log Hellinger integral on NI u SP1.
 
@@ -403,15 +434,7 @@ def exact_log_hellinger(params: ParamSet, lam: float, omega0: int, n: int) -> fl
     if not c.case.exactly_computable:
         raise CaseError(f"exact values only exist on NI/SP1 (got {c.case.value}); "
                         "use recursive_log_bounds")
-    if omega0 < 1:
-        raise GWIError("initial population omega0 must be >= 1")
-    if n < 0:
-        raise GWIError("horizon n must be >= 0")
-    if n == 0:
-        return 0.0
-    trace = run_recursion(c.star.p, c.star.q, params, lam, n)
-    tail = params.alpha_a / params.beta_a
-    return float(trace.a[n] * omega0 + tail * trace.a[1:].sum())
+    return _exact(c, omega0, n)
 
 
 def sp3d_log_delta(params: ParamSet, lam: float) -> float:
@@ -428,50 +451,25 @@ def recursive_log_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     generally valid bound log 1 = 0.
     """
     c = Constellation(params, lam)
-    lam, case = c.lam, c.case
-    if case.exactly_computable:
-        raise CaseError(f"case {case.value} admits exact values; use exact_log_hellinger")
-    if n < 1:
-        raise GWIError("horizon n must be >= 1 for bounds")
-    log_lower = float(log_bound_sequence(c.star, params, lam, omega0, n)[n])
-
-    best_upper, best_label = 0.0, "cutoff(1)"
-    for pair in c.uppers:
-        value = float(log_bound_sequence(pair, params, lam, omega0, n)[n])
-        if value < best_upper:
-            best_upper, best_label = value, pair.label
-    if case is CaseTag.SP3D:
-        value = (n // 2) * c.log_delta()
-        if value < best_upper:
-            best_upper, best_label = value, "separation-delta"
-
-    return LogBoundReport(
-        log_lower=log_lower,
-        log_upper=best_upper,
-        log_exact=None,
-        method=f"lower:geometric-mean upper:{best_label}",
-        case=case,
-    )
+    if c.case.exactly_computable:
+        raise CaseError(f"case {c.case.value} admits exact values; use exact_log_hellinger")
+    return _bounds(c, omega0, n)
 
 
 def log_hellinger_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> LogBoundReport:
     """Exact value (NI/SP1) or recursive bounds (otherwise), as one report.
 
     Horizon 0 gives the trivial exact report for every case (the restricted
-    laws coincide, H_0 = 1).
+    laws coincide, H_0 = 1); omega0 must still be >= 1.
     """
-    case = classify(params, lam)
+    c = Constellation(params, lam)
+    if omega0 < 1:
+        raise GWIError(_OMEGA0)
     if n == 0:
-        return LogBoundReport(
-            log_lower=0.0, log_upper=0.0, log_exact=0.0, method="horizon-0", case=case
-        )
-    if case.exactly_computable:
-        value = exact_log_hellinger(params, lam, omega0, n)
-        return LogBoundReport(
-            log_lower=value,
-            log_upper=min(value, 0.0),
-            log_exact=value,
-            method="exact:geometric-mean",
-            case=case,
-        )
-    return recursive_log_bounds(params, lam, omega0, n)
+        return LogBoundReport(log_lower=0.0, log_upper=0.0, log_exact=0.0, method="horizon-0",
+                              case=c.case)
+    if not c.case.exactly_computable:
+        return _bounds(c, omega0, n)
+    value = _exact(c, omega0, n)
+    return LogBoundReport(log_lower=value, log_upper=min(value, 0.0), log_exact=value,
+                          method="exact:geometric-mean", case=c.case)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
-from gwidiv import GWIError, ParamSet, classify
+from gwidiv import GWIError, ParamSet, classify, lambda_weights, run_recursion
 
 ALL_CASES = ("NI", "SP1", "SP2", "SP3a", "SP3b", "SP3c", "SP3d", "SP4")
 
@@ -56,6 +58,31 @@ def random_params(rng: np.random.Generator, case: str, lam: float = 0.5,
 
 def random_any(rng: np.random.Generator, lam: float = 0.5) -> ParamSet:
     return random_params(rng, ALL_CASES[rng.integers(0, len(ALL_CASES))], lam)
+
+
+def prefix_sequences(p: float, q: float, params: ParamSet, lam: float, n: int):
+    """a[0..n] and b[0..n] of the a/b recursion, with a[0] = b[0] = 0.
+
+    a[k] is the end state of a k-step ``run_recursion``.  b[k] =
+    p*exp(a[k-1]) - alpha_lambda is rebuilt from a[k-1], and every prefix's
+    ``b_sum`` must be the in-order sum of these b[k], bit for bit.
+    """
+    _, al = lambda_weights(params, lam)
+    a, b, b_sum = [0.0], [0.0], 0.0
+    for k in range(1, n + 1):
+        trace = run_recursion(p, q, params, lam, k)
+        e = math.exp(a[-1]) if a[-1] < 709.0 else math.inf
+        b.append(p * e - al if p > 0.0 else -al)
+        b_sum += b[-1]
+        assert trace.b_sum == b_sum
+        a.append(trace.a_n)
+    return np.array(a), np.array(b)
+
+
+def log_bound_at(pair, params: ParamSet, lam: float, omega0: int, n: int) -> float:
+    """a_n*omega0 + b_1 + ... + b_n for ``pair``: its log bound at horizon n."""
+    trace = run_recursion(pair.p, pair.q, params, lam, n)
+    return trace.a_n * omega0 + trace.b_sum
 
 
 @pytest.fixture

@@ -33,19 +33,17 @@ from gwidiv import (
     lambda_weights,
     limit_log_bounds,
     limit_scalars,
-    log_bound_sequence,
     np_type2_bound,
     phi_eval,
     prelimit_log_bounds,
     recursive_log_bounds,
-    run_recursion,
     select_coeffs,
     solve_fixed_point,
 )
-from gwidiv.closed_form import asymptotic_log_slope, star_pair, upper_pair
+from gwidiv.closed_form import asymptotic_log_slope
 from gwidiv.recursions import Constellation
 
-from conftest import ALL_CASES, random_params
+from conftest import ALL_CASES, log_bound_at, prefix_sequences, random_params
 
 
 def _report(index: int, label: str, passed: bool) -> None:
@@ -159,13 +157,13 @@ def test_criterion_04_monotonicity_suite():
             values = [exact_log_hellinger(params, 0.5, 2, n) for n in range(1, horizon + 1)]
             ok &= bool(np.all(np.diff(values) < 0.0))
         else:
-            lower = log_bound_sequence(select_coeffs(params, 0.5, CoeffRole.LOWER),
-                                       params, 0.5, 2, horizon)
-            ok &= bool(np.all(np.diff(lower[1:]) < 0.0))
+            pair = select_coeffs(params, 0.5, CoeffRole.LOWER)
+            lower = [log_bound_at(pair, params, 0.5, 2, n) for n in range(1, horizon + 1)]
+            ok &= bool(np.all(np.diff(lower) < 0.0))
             if tag.value in ("SP2", "SP3a", "SP3b", "SP3c"):
-                upper = log_bound_sequence(select_coeffs(params, 0.5, CoeffRole.UPPER),
-                                           params, 0.5, 2, horizon)
-                ok &= bool(np.all(np.diff(upper[1:]) < 0.0))
+                pair = select_coeffs(params, 0.5, CoeffRole.UPPER)
+                upper = [log_bound_at(pair, params, 0.5, 2, n) for n in range(1, horizon + 1)]
+                ok &= bool(np.all(np.diff(upper) < 0.0))
         if tag.value != "SP4":
             values = [closed_form_log_lower(params, 0.5, 2, n) for n in range(1, horizon + 1)]
             ok &= bool(np.all(np.diff(values) < 0.0))
@@ -184,15 +182,16 @@ def test_criterion_05_asymptotic_slopes():
     for params in [ParamSet(0.8, 0.6, 0.8, 0.6), ParamSet(0.8, 0.6, 0.4, 0.3)]:
         for lam in (0.3, 0.5, 0.7):
             bl, _ = lambda_weights(params, lam)
-            fp = solve_fixed_point(star_pair(params, lam).q, bl)
+            fp = solve_fixed_point(Constellation(params, lam).star.q, bl)
             target = params.alpha_a / params.beta_a * fp.x0
             ok &= abs(exact_log_hellinger(params, lam, 1, 200) / 200 - target) < 1e-3
     for params in [ni, ParamSet(0.8, 0.6, 0.8, 0.6), ParamSet(0.8, 0.6, 2.0, 2.0),
                    ParamSet(0.8, 0.6, 2.0, 1.9)]:
+        c = Constellation(params, 0.5)
         lo_slope = closed_form_log_lower(params, 0.5, 1, 500) / 500
-        ok &= abs(lo_slope - asymptotic_log_slope(star_pair(params, 0.5), params, 0.5)) < 1e-3
+        ok &= abs(lo_slope - asymptotic_log_slope(c.star, params, 0.5)) < 1e-3
         up_slope = closed_form_log_upper(params, 0.5, 1, 500) / 500
-        ok &= abs(up_slope - asymptotic_log_slope(upper_pair(params, 0.5), params, 0.5)) < 1e-3
+        ok &= abs(up_slope - asymptotic_log_slope(c.upper, params, 0.5)) < 1e-3
     _report(5, "asymptotic slopes", ok)
 
 
@@ -215,7 +214,7 @@ def test_criterion_06_diffusion_limit_convergence():
             s2 = sde.sigma**2
             params = approx_params(sde, m_big)
             bl, _ = lambda_weights(params, lam)
-            q = star_pair(params, lam).q
+            q = Constellation(params, lam).star.q
             fp = solve_fixed_point(q, bl)
             checks = [
                 (m_big * (1 - q), kl / s2),
@@ -319,18 +318,18 @@ def test_criterion_09_property_suites():
         p = rng.uniform(0.05, 2.0)
         q2 = rng.uniform(0.05, 1.0) * bl
         q1 = q2 * rng.uniform(0.05, 0.95)
-        trace1 = run_recursion(p, q1, params, lam_i, 6)
-        trace2 = run_recursion(p, q2, params, lam_i, 6)
-        ok &= bool(np.all(trace1.a[1:] < 0.0) and np.all(np.diff(trace1.a[1:]) < 0.0))
-        ok &= bool(np.all(trace1.a[1:] < trace2.a[1:]))
-        ok &= bool(np.all(trace1.b[2:] < trace2.b[2:]))
-        trace3 = run_recursion(p + 0.5, q2, params, lam_i, 6)
-        ok &= bool(np.all(trace2.b[1:] < trace3.b[1:]))
-        frozen = run_recursion(p, bl, params, lam_i, 3)
-        ok &= bool(np.all(frozen.a[1:] == 0.0))
-        zero_q = run_recursion(p, 0.0, params, lam_i, 3)
-        ok &= bool(np.allclose(zero_q.a[1:], -bl))
-        ok &= abs(zero_q.b[2] - (p * math.exp(-bl) - al)) < 1e-12
+        a1, b1 = prefix_sequences(p, q1, params, lam_i, 6)
+        a2, b2 = prefix_sequences(p, q2, params, lam_i, 6)
+        ok &= bool(np.all(a1[1:] < 0.0) and np.all(np.diff(a1[1:]) < 0.0))
+        ok &= bool(np.all(a1[1:] < a2[1:]))
+        ok &= bool(np.all(b1[2:] < b2[2:]))
+        _, b3 = prefix_sequences(p + 0.5, q2, params, lam_i, 6)
+        ok &= bool(np.all(b2[1:] < b3[1:]))
+        frozen, _ = prefix_sequences(p, bl, params, lam_i, 3)
+        ok &= bool(np.all(frozen[1:] == 0.0))
+        zero_a, zero_b = prefix_sequences(p, 0.0, params, lam_i, 3)
+        ok &= bool(np.allclose(zero_a[1:], -bl))
+        ok &= abs(zero_b[2] - (p * math.exp(-bl) - al)) < 1e-12
         if not ok:
             break
 

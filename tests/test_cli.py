@@ -257,6 +257,16 @@ class TestErrors:
         assert out["error"]["kind"] == "invalid-input"
         assert "double" in out["error"]["message"]
 
+    @pytest.mark.parametrize("command", ["hellinger", "bayes", "divergence", "nptest"])
+    @pytest.mark.parametrize("omega0", ["-5", "0"])
+    def test_horizon_zero_checks_omega0(self, capsys, command, omega0):
+        """These once printed the trivial horizon-0 report for any omega0."""
+        code, out = run_json(capsys, command, "--preset", "a2-example", "--n", "0",
+                             "--omega0", omega0)
+        assert code == 5
+        assert out["error"]["kind"] == "invalid-input"
+        assert "omega0" in out["error"]["message"]
+
     def test_parse_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["hellinger", "--n", "not-an-int"])
@@ -344,6 +354,28 @@ def test_cli_contract(capsys, command, preset, n):
         argv += ["--reps", "1000"]
     code, _ = run_json(capsys, *argv)
     assert code in (0, 3, 4, 5)
+
+
+_DIFFUSION = ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1",
+              "--x0-tilde", "1", "--lambda", "0.5")
+
+
+@pytest.mark.parametrize("argv", [
+    ("diffusion", *_DIFFUSION, "--t", "nan"),
+    ("diffusion", *_DIFFUSION, "--t", "inf"),
+    ("diffusion", *_DIFFUSION, "--t", "nan", "--m", "100"),
+    ("diffusion", *_DIFFUSION, "--t", "1e308"),
+    ("diffusion", *_DIFFUSION, "--t", "1e300", "--m", "100000000000"),
+    ("sweep", *_DIFFUSION, "--axis", "t", "--grid", "0:inf:3"),
+    ("sweep", *_DIFFUSION, "--axis", "t", "--grid", "0:inf:3", "--format", "json"),
+])
+def test_cli_contract_non_finite_time(capsys, argv):
+    """A non-finite or overflowing diffusion time is an input error in strict JSON;
+    these once printed NaN or Infinity, or died with a ValueError or
+    OverflowError traceback."""
+    code, out = run_json(capsys, *argv)
+    assert code == 5
+    assert out["error"]["kind"] == "invalid-input"
 
 
 def test_presets_cover_reference_examples():

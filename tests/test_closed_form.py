@@ -13,11 +13,11 @@ from gwidiv import (
     closed_form_lower_terms,
     closed_form_upper_terms,
     enum_log_hellinger,
-    log_bound_sequence,
 )
-from gwidiv.closed_form import asymptotic_log_slope, star_pair, upper_pair
+from gwidiv.closed_form import asymptotic_log_slope
+from gwidiv.recursions import Constellation
 
-from conftest import random_params
+from conftest import log_bound_at, random_params
 
 # representative constellations for each admissible case of each bound
 LOWER_CASES = [
@@ -35,10 +35,10 @@ UPPER_CASES = LOWER_CASES[:6]
 class TestClosedFormLower:
     def test_strictly_below_recursive_anchor(self):
         for params in LOWER_CASES:
-            pair = star_pair(params, 0.5)
-            anchor = log_bound_sequence(pair, params, 0.5, 2, 50)
+            pair = Constellation(params, 0.5).star
             for n in range(1, 51):
-                assert closed_form_log_lower(params, 0.5, 2, n) < anchor[n]
+                anchor = log_bound_at(pair, params, 0.5, 2, n)
+                assert closed_form_log_lower(params, 0.5, 2, n) < anchor
 
     def test_strictly_decreasing(self):
         for params in LOWER_CASES:
@@ -51,7 +51,7 @@ class TestClosedFormLower:
 
         params = ParamSet(1.2, 0.8, 0, 0)
         bl, _ = lambda_weights(params, 0.5)
-        x0 = solve_fixed_point(star_pair(params, 0.5).q, bl).x0
+        x0 = solve_fixed_point(Constellation(params, 0.5).star.q, bl).x0
         omega0 = 3
         assert closed_form_log_lower(params, 0.5, omega0, 3000) == pytest.approx(
             omega0 * x0, abs=1e-9
@@ -84,11 +84,12 @@ class TestClosedFormLower:
 class TestClosedFormUpper:
     def test_equals_recursive_anchor_at_n1_only(self):
         for params in UPPER_CASES:
-            pair = upper_pair(params, 0.5)
-            anchor = log_bound_sequence(pair, params, 0.5, 2, 30)
-            assert closed_form_log_upper(params, 0.5, 2, 1) == pytest.approx(anchor[1], abs=1e-12)
+            pair = Constellation(params, 0.5).upper
+            anchor = log_bound_at(pair, params, 0.5, 2, 1)
+            assert closed_form_log_upper(params, 0.5, 2, 1) == pytest.approx(anchor, abs=1e-12)
             for n in range(2, 31):
-                assert closed_form_log_upper(params, 0.5, 2, n) > anchor[n]
+                anchor = log_bound_at(pair, params, 0.5, 2, n)
+                assert closed_form_log_upper(params, 0.5, 2, n) > anchor
 
     def test_strictly_decreasing(self):
         for params in UPPER_CASES:
@@ -145,10 +146,10 @@ class TestSlopeLimits:
         for params in [ParamSet(0.8, 0.6, 0, 0), ParamSet(0.8, 0.6, 0.8, 0.6),
                        ParamSet(0.8, 0.6, 2, 2), ParamSet(0.8, 0.6, 2, 1.9)]:
             lo_slope = closed_form_log_lower(params, 0.5, 1, 500) / 500
-            target_lo = asymptotic_log_slope(star_pair(params, 0.5), params, 0.5)
+            target_lo = asymptotic_log_slope(Constellation(params, 0.5).star, params, 0.5)
             assert abs(lo_slope - target_lo) < 1e-3
             up_slope = closed_form_log_upper(params, 0.5, 1, 500) / 500
-            target_up = asymptotic_log_slope(upper_pair(params, 0.5), params, 0.5)
+            target_up = asymptotic_log_slope(Constellation(params, 0.5).upper, params, 0.5)
             assert abs(up_slope - target_up) < 1e-3
 
     def test_sp1_lower_slope_formula(self):
@@ -157,7 +158,7 @@ class TestSlopeLimits:
 
         params = ParamSet(0.8, 0.6, 0.4, 0.3)
         bl, _ = lambda_weights(params, 0.5)
-        pair = star_pair(params, 0.5)
+        pair = Constellation(params, 0.5).star
         x0 = solve_fixed_point(pair.q, bl).x0
         target = params.alpha_a / params.beta_a * x0
         assert asymptotic_log_slope(pair, params, 0.5) == pytest.approx(target, rel=1e-12)

@@ -23,7 +23,7 @@ from gwidiv import (
     solve_fixed_point,
     time_horizon,
 )
-from gwidiv.closed_form import star_pair
+from gwidiv.recursions import Constellation
 
 SDE_GRID = [
     SDEParams(eta=0.5, kappa_a=2.0, kappa_h=1.0, sigma=1.0, x0_tilde=1.0),
@@ -131,7 +131,7 @@ class TestScalingLimitScalars:
                 s2 = sde.sigma**2
                 params = approx_params(sde, m)
                 bl, _ = lambda_weights(params, lam)
-                q = star_pair(params, lam).q
+                q = Constellation(params, lam).star.q
                 fp = solve_fixed_point(q, bl)
                 assert m * (1 - q) == pytest.approx(kl / s2, rel=1e-3)
                 assert m * m * (q - bl) == pytest.approx(
@@ -209,3 +209,28 @@ class TestLimitEntropy:
         for sde in SDE_GRID:
             values = [limit_entropy(sde, t) for t in np.linspace(0.0, 6.0, 40)]
             assert np.all(np.diff(values) >= -1e-12)
+
+
+class TestTimeChecks:
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        sde = SDE_GRID[0]
+        for call in (lambda: limit_log_bounds(sde, 0.5, t), lambda: limit_entropy(sde, t),
+                     lambda: time_horizon(sde, 100, t),
+                     lambda: prelimit_log_bounds(sde, 0.5, t, 100, 100)):
+            with pytest.raises(GWIError, match="finite"):
+                call()
+
+    def test_overflow_rejected(self):
+        """Finite but huge times overflow the closed forms; no inf comes back."""
+        sde = SDEParams(eta=10.0, kappa_a=0.5, kappa_h=20.0, sigma=1.0, x0_tilde=1.0)
+        with pytest.raises(GWIError, match="overflow"):
+            limit_entropy(sde, 1e308)
+        with pytest.raises(GWIError, match="overflow"):
+            limit_log_bounds(sde, 0.5, 1e307)
+        lo, hi = limit_log_bounds(sde, 0.5, 1e306)
+        assert math.isfinite(lo) and lo <= hi <= 0.0
+        with pytest.raises(GWIError, match="overflow"):
+            time_horizon(sde, 10**11, 1e300)
+        with pytest.raises(GWIError, match="overflow"):
+            prelimit_log_bounds(sde, 0.5, 1e300, 10**11, 1)

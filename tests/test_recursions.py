@@ -14,7 +14,6 @@ from gwidiv import (
     enum_log_hellinger,
     exact_log_hellinger,
     lambda_weights,
-    log_bound_sequence,
     log_hellinger_bounds,
     recursive_log_bounds,
     run_recursion,
@@ -27,7 +26,7 @@ from gwidiv import recursions
 from gwidiv.closed_form import closed_form_log_lower, closed_form_log_upper
 from gwidiv.recursions import CoefficientPair, Constellation, _floor_x_max
 
-from conftest import ALL_CASES, random_any, random_params
+from conftest import ALL_CASES, log_bound_at, prefix_sequences, random_any, random_params
 
 
 class TestRunRecursion:
@@ -35,19 +34,19 @@ class TestRunRecursion:
         """q = beta_lambda freezes the recursion: a == 0, b == p - alpha_lambda."""
         params = ParamSet(0.8, 0.6, 2, 2)
         bl, al = lambda_weights(params, 0.5)
-        trace = run_recursion(1.3, bl, params, 0.5, 12)
-        assert np.all(trace.a[1:] == 0.0)
-        assert np.allclose(trace.b[1:], 1.3 - al)
+        a, b = prefix_sequences(1.3, bl, params, 0.5, 12)
+        assert np.all(a[1:] == 0.0)
+        assert np.allclose(b[1:], 1.3 - al)
 
     def test_zero_slope(self):
         """q = 0: a == -beta_lambda; b freezes at p e^{-beta_lambda} - alpha_lambda
         from the second step on (the first step uses a_0 = 0)."""
         params = ParamSet(0.8, 0.6, 2, 1.9)
         bl, al = lambda_weights(params, 0.5)
-        trace = run_recursion(0.7, 0.0, params, 0.5, 9)
-        assert np.allclose(trace.a[1:], -bl)
-        assert trace.b[1] == pytest.approx(0.7 - al)
-        assert np.allclose(trace.b[2:], 0.7 * math.exp(-bl) - al)
+        a, b = prefix_sequences(0.7, 0.0, params, 0.5, 9)
+        assert np.allclose(a[1:], -bl)
+        assert b[1] == pytest.approx(0.7 - al)
+        assert np.allclose(b[2:], 0.7 * math.exp(-bl) - al)
 
     def test_one_step_unrolling(self, rng):
         for _ in range(50):
@@ -56,9 +55,9 @@ class TestRunRecursion:
             bl, al = lambda_weights(params, lam)
             p, q = rng.uniform(0.0, 3.0, size=2)
             trace = run_recursion(p, q, params, lam, 1)
-            assert trace.a[0] == 0.0 and trace.b[0] == 0.0
-            assert trace.a[1] == pytest.approx(q - bl)
-            assert trace.b[1] == pytest.approx(p - al)
+            assert trace.a_n == pytest.approx(q - bl)
+            assert trace.b_sum == pytest.approx(p - al)
+            assert trace.a_sum == trace.a_n
 
     def test_linear_interrelation_to_machine_precision(self, rng):
         for _ in range(100):
@@ -68,9 +67,9 @@ class TestRunRecursion:
             p = rng.uniform(0.0, 3.0)
             q = rng.uniform(0.02, 1.1) * bl
             n = 15 if q < bl else 4
-            trace = run_recursion(p, q, params, lam, n)
-            expected = p / q * trace.a[1:] + p / q * bl - al
-            assert np.allclose(trace.b[1:], expected, rtol=1e-15, atol=1e-12)
+            a, b = prefix_sequences(p, q, params, lam, n)
+            expected = p / q * a[1:] + p / q * bl - al
+            assert np.allclose(b[1:], expected, rtol=1e-15, atol=1e-12)
 
     def test_trichotomy(self, rng):
         """Sign/monotonicity of a_n is driven by the sign of a_1 = q - beta_lambda.
@@ -83,7 +82,7 @@ class TestRunRecursion:
             params = random_any(rng, lam)
             bl, _ = lambda_weights(params, lam)
             for q in (bl * rng.uniform(0.1, 0.95), bl, bl * rng.uniform(1.05, 1.5)):
-                a = run_recursion(0.5, q, params, lam, 10).a
+                a, _ = prefix_sequences(0.5, q, params, lam, 10)
                 if q == bl:
                     assert np.all(a[1:] == 0.0)
                 elif q < bl:
@@ -163,8 +162,8 @@ class TestCoefficientMonotonicity:
             bl, _ = lambda_weights(params, lam)
             q2 = rng.uniform(0.02, 1.0) * bl
             q1 = q2 * rng.uniform(0.05, 0.95)
-            a1 = run_recursion(0.5, q1, params, lam, 8).a
-            a2 = run_recursion(0.5, q2, params, lam, 8).a
+            a1, _ = prefix_sequences(0.5, q1, params, lam, 8)
+            a2, _ = prefix_sequences(0.5, q2, params, lam, 8)
             assert np.all(a1[1:] < a2[1:])
 
     def test_b_monotone_in_q_and_p(self, rng):
@@ -176,14 +175,14 @@ class TestCoefficientMonotonicity:
             p = rng.uniform(0.05, 2.0)
             q2 = rng.uniform(0.02, 1.0) * bl
             q1 = q2 * rng.uniform(0.05, 0.95)
-            b1 = run_recursion(p, q1, params, lam, 8).b
-            b2 = run_recursion(p, q2, params, lam, 8).b
+            _, b1 = prefix_sequences(p, q1, params, lam, 8)
+            _, b2 = prefix_sequences(p, q2, params, lam, 8)
             assert np.all(b1[2:] < b2[2:]) and b1[1] == b2[1]
             q = rng.uniform(0.02, 1.0) * bl
             p1 = rng.uniform(0.0, 2.0)
             p2 = p1 + rng.uniform(0.01, 1.0)
-            b1 = run_recursion(p1, q, params, lam, 8).b
-            b2 = run_recursion(p2, q, params, lam, 8).b
+            _, b1 = prefix_sequences(p1, q, params, lam, 8)
+            _, b2 = prefix_sequences(p2, q, params, lam, 8)
             assert np.all(b1[1:] < b2[1:])
 
 
@@ -273,8 +272,8 @@ class TestMonotoneInHorizon:
         ]
         for params, role in table:
             pair = select_coeffs(params, 0.5, role)
-            seq = log_bound_sequence(pair, params, 0.5, 2, 50)
-            assert np.all(np.diff(seq[1:]) < 0.0), (params, role)
+            seq = [log_bound_at(pair, params, 0.5, 2, n) for n in range(1, 51)]
+            assert np.all(np.diff(seq) < 0.0), (params, role)
 
     def test_slope_limits(self):
         """(1/n) log V_n at n=200: -> 0 on NI, -> (alpha_a/beta_a) x0 on SP1."""
@@ -503,3 +502,180 @@ class TestDerivedOnce:
         assert checked == []
         closed_form_log_upper(params, 0.5, 3, 10)
         assert checked == ["secant(0,1)"]
+
+    def test_one_classify_per_dispatcher_report(self, rng, monkeypatch):
+        """log_hellinger_bounds hands its one Constellation down on every case."""
+        points = [(random_params(rng, case), 0.5) for case in ALL_CASES]
+        points += [(params, lam) for params, lam, _ in FLAT_HUMPS]
+        calls = []
+        real = recursions.classify
+        monkeypatch.setattr(recursions, "classify", lambda *a: calls.append(a) or real(*a))
+        for params, lam in points:
+            for n in (0, 1, 10):
+                calls.clear()
+                log_hellinger_bounds(params, lam, 3, n)
+                assert len(calls) == 1, (params, n)
+
+    def test_one_classify_per_closed_form(self, rng, monkeypatch):
+        calls = []
+        real = recursions.classify
+        monkeypatch.setattr(recursions, "classify", lambda *a: calls.append(a) or real(*a))
+        for case in ALL_CASES[:-1]:
+            params = random_params(rng, case)
+            calls.clear()
+            closed_form_log_lower(params, 0.5, 3, 10)
+            assert len(calls) == 1, case
+            if case != "SP3d":
+                calls.clear()
+                closed_form_log_upper(params, 0.5, 3, 10)
+                assert len(calls) == 1, case
+
+
+def test_dispatcher_rejects_omega0_below_one_at_every_horizon(rng):
+    for case in ALL_CASES:
+        params = random_params(rng, case)
+        for n in (0, 1, 4):
+            for omega0 in (0, -5):
+                with pytest.raises(GWIError, match="omega0"):
+                    log_hellinger_bounds(params, 0.5, omega0, n)
+
+
+# A copy of the array recursion that the scalar fold replaced: per-step
+# ndarrays, np.cumsum for the b-sum and the pairwise np.sum for the exact
+# value.  Bounds must match it bit for bit; the exact value, whose a-sum is
+# now compensated, within 1e-15 relative.
+
+
+def _ref_trace(p, q, params, lam, n):
+    bl, al = lambda_weights(params, lam)
+    a = np.zeros(n + 1)
+    b = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        e = math.exp(a[k - 1]) if a[k - 1] < 709.0 else math.inf
+        a[k] = q * e - bl if q > 0.0 else -bl
+        b[k] = p * e - al if p > 0.0 else -al
+    return a, b
+
+
+def _ref_log_bound_sequence(pair, params, lam, omega0, n):
+    a, b = _ref_trace(pair.p, pair.q, params, lam, n)
+    return a * omega0 + np.concatenate(([0.0], np.cumsum(b[1:])))
+
+
+def _ref_recursive_log_bounds(params, lam, omega0, horizons):
+    """{n: (log_lower, log_upper, method)}, one array run per pair up to max(horizons)."""
+    c = Constellation(params, lam)
+    top = max(horizons)
+    lower = _ref_log_bound_sequence(c.star, params, lam, omega0, top)
+    uppers = [(pair.label, _ref_log_bound_sequence(pair, params, lam, omega0, top))
+              for pair in c.uppers]
+    out = {}
+    for n in horizons:
+        best_upper, best_label = 0.0, "cutoff(1)"
+        for label, seq in uppers:
+            if float(seq[n]) < best_upper:
+                best_upper, best_label = float(seq[n]), label
+        if c.case is CaseTag.SP3D and (n // 2) * c.log_delta() < best_upper:
+            best_upper, best_label = (n // 2) * c.log_delta(), "separation-delta"
+        out[n] = (float(lower[n]), best_upper, f"lower:geometric-mean upper:{best_label}")
+    return out
+
+
+FOLD_HORIZONS = (1, 2, 10, 10**3, 10**4, 10**5)
+
+
+class TestFoldMatchesArrayPath:
+    @pytest.mark.parametrize("lam", (0.01, 0.5, 0.99))
+    def test_bounds_bit_identical(self, rng, lam):
+        for case in ("SP2", "SP3a", "SP3b", "SP3c", "SP3d", "SP4"):
+            params = random_params(rng, case, lam)
+            reference = _ref_recursive_log_bounds(params, lam, 3, FOLD_HORIZONS)
+            for n in FOLD_HORIZONS:
+                report = recursive_log_bounds(params, lam, 3, n)
+                lower, upper, method = reference[n]
+                assert report.log_lower.hex() == lower.hex(), (case, n)
+                assert report.log_upper.hex() == upper.hex(), (case, n)
+                assert report.method == method
+
+    @pytest.mark.parametrize("lam", (0.01, 0.5, 0.99))
+    def test_exact_within_stated_tolerance(self, rng, lam):
+        for case in ("NI", "SP1"):
+            params = random_params(rng, case, lam)
+            star = Constellation(params, lam).star
+            a, _ = _ref_trace(star.p, star.q, params, lam, FOLD_HORIZONS[-1])
+            tail = params.alpha_a / params.beta_a
+            for n in FOLD_HORIZONS:
+                ref = float(a[n] * 3 + tail * a[1:n + 1].sum())
+                value = exact_log_hellinger(params, lam, 3, n)
+                if case == "NI":
+                    assert value.hex() == ref.hex(), n
+                else:
+                    assert abs(value - ref) <= 1e-15 * abs(ref), (n, value, ref)
+                trace = run_recursion(star.p, star.q, params, lam, n)
+                assert trace.a_n == a[n]
+                assert abs(trace.a_sum - math.fsum(a[1:n + 1])) <= 1e-15 * abs(trace.a_sum)
+
+    def test_saturating_pair(self):
+        """q > beta_lambda: a reaches inf and stays there; a_sum is inf, not nan."""
+        params = ParamSet(0.8, 0.6, 2.0, 1.9)
+        a, b = _ref_trace(1.0, 1.5, params, 0.5, 40)
+        seq = _ref_log_bound_sequence(CoefficientPair(1.0, 1.5, CoeffRole.UPPER), params,
+                                      0.5, 3, 40)
+        assert math.isinf(a[40])
+        for n in (1, 2, 3, 5, 10, 40):
+            trace = run_recursion(1.0, 1.5, params, 0.5, n)
+            assert trace.a_n == a[n]
+            assert trace.b_sum == np.cumsum(b[1:])[n - 1]
+            assert trace.a_n * 3 + trace.b_sum == seq[n]
+            if math.isinf(a[n]):
+                assert trace.a_sum == math.inf
+            else:
+                assert trace.a_sum == math.fsum(a[1:n + 1])
+
+
+def _mp_exact_log_hellinger(params, lam, omega0, horizons):
+    """{n: (value, rounding)}: the NI/SP1 exact value at 50 digits for the float
+    inputs, and a first-order bound on the float computation's rounding error.
+
+    Each float step rounds q, exp, the product and the difference, a few
+    units in the last place of q*e^{a_{k-1}} and beta_lambda, and the next
+    step scales an error in a_{k-1} by q*e^{a_{k-1}}.  The compensated a-sum
+    and the final combination add a few more units of |a_n| omega0 and
+    |sum a_k| alpha_a/beta_a.  Near lambda = 0 or 1, where q*e^a - beta_lambda
+    cancels, the bound reaches about 3e-11 relative.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        u = mpmath.mpf(2) ** -53
+        lam_m = mpmath.mpf(lam)
+        beta_a, beta_h = mpmath.mpf(params.beta_a), mpmath.mpf(params.beta_h)
+        q = beta_a**lam_m * beta_h ** (1 - lam_m)
+        bl = lam_m * beta_a + (1 - lam_m) * beta_h
+        tail = mpmath.mpf(params.alpha_a) / beta_a
+        a = total = err_a = err_total = mpmath.mpf(0)
+        out = {}
+        for k in range(1, max(horizons) + 1):
+            growth = q * mpmath.exp(a)
+            a = growth - bl
+            err_a = growth * err_a + 8 * u * (growth + bl)
+            total += a
+            err_total += err_a
+            if k in horizons:
+                rounding = (omega0 * err_a + tail * err_total
+                            + 4 * u * (omega0 * abs(a) + tail * abs(total)))
+                out[k] = (float(a * omega0 + tail * total), float(rounding))
+        return out
+
+
+@pytest.mark.parametrize("lam", (0.01, 0.5, 0.99))
+def test_exact_matches_50_digit_reference(rng, lam):
+    horizons = (1, 2, 10, 100, 10**3, 10**4)
+    for case in ("NI", "SP1", "SP1"):
+        params = random_params(rng, case, lam, beta_hi=1.6)
+        omega0 = int(rng.integers(1, 20))
+        reference = _mp_exact_log_hellinger(params, lam, omega0, horizons)
+        for n in horizons:
+            value = exact_log_hellinger(params, lam, omega0, n)
+            ref, rounding = reference[n]
+            assert abs(value - ref) <= rounding, (params, n, value, ref, rounding)
