@@ -56,6 +56,10 @@ _EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
 
 _OMEGA0 = "initial population omega0 must be >= 1"
 
+#: :func:`_repeat` adds its first repeats one by one: a chunk length costs
+#: about 30 plain additions, and near the addend's scale a binade holds few
+_PLAIN_HEAD = 32
+
 
 class CoeffRole(enum.Enum):
     EXACT = "exact"
@@ -85,39 +89,106 @@ class CoefficientPair:
 
 @dataclass(frozen=True)
 class RecursionTrace:
-    """a_n, b_1 + ... + b_n (added in order) and a_1 + ... + a_n (compensated)."""
+    """a_n, b_1 + ... + b_n (added in order), a_1 + ... + a_n (compensated)
+    and ``steps``, the steps evaluated: n, or the first k with a_k = a_{k-1}."""
 
     a_n: float
     b_sum: float
     a_sum: float
+    steps: int
+
+
+def _run_length(s: float, c: float, t: float) -> int:
+    """How many in-order additions of c, from s with t = s + c != s, each add
+    exactly t - s: 0 unless s and t share a sign and an ulp u.
+
+    Exact sums in [L, H] (L = 2^52 u, or 0 for subnormal u; H = 2^53 u)
+    round to the nearest multiple of u, ties to even: the same step each
+    time until the sum leaves [L, H], except on a tie (c/u a half-integer)
+    from an odd s/u.
+    """
+    u = math.ulp(s)
+    if math.ulp(t) != u or (s < 0.0) != (t < 0.0):
+        return 0
+    sign = -1.0 if s < 0.0 else 1.0
+    big, ratio, step = int(sign * s / u), sign * c / u, int(sign * (t - s) / u)
+    if ratio % 1.0 == 0.5 and big % 2:
+        return 0
+    if step > 0:
+        return (2**53 - big - math.ceil(ratio)) // step + 1
+    low = 0 if u == math.ulp(0.0) else 2**52
+    return max(0, (big - low + math.floor(ratio)) // -step + 1)
+
+
+def _repeat(s: float, c: float, r: int) -> float:
+    """s after r in-order additions s += c, bit for bit, in about one chunk per
+    binade that the running sum passes through."""
+    for _ in range(min(r, _PLAIN_HEAD)):
+        s += c
+    r -= _PLAIN_HEAD
+    while r > 0:
+        t = s + c
+        if t == s or not math.isfinite(t):  # fixed from here on
+            return t
+        m = min(r, _run_length(s, c, t))
+        s, r = (t, r - 1) if m <= 1 else (s + m * (t - s), r - m)
+    return s
+
+
+def _repeat_two_sum(s: float, comp: float, c: float, r: int) -> tuple[float, float]:
+    """(s, comp) after r TwoSum steps adding c, bit for bit.
+
+    Inside a chunk each addition adds exactly z = t - s, so its rounding
+    error c - z is exact and the same every step: comp is a :func:`_repeat`.
+    """
+    while r > 0:
+        t = s + c
+        z = t - s
+        err = (s - (t - z)) + (c - z)
+        if t == s or not math.isfinite(t):  # fixed from here on; so is err
+            return t, _repeat(comp, err, r)
+        m = min(r, _run_length(s, c, t))
+        if m <= 1:
+            s, comp, r = t, comp + err, r - 1
+        else:
+            s, comp, r = s + m * z, _repeat(comp, err, m), r - m
+    return s, comp
 
 
 def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> RecursionTrace:
     """Run a_k = q*exp(a_{k-1}) - beta_lambda, b_k = p*exp(a_{k-1}) - alpha_lambda.
 
     A scalar fold from a_0 = b_0 = 0 that keeps no sequence.  For q > 0,
-    b_k = (p/q) a_k + (p/q) beta_lambda - alpha_lambda exactly.
+    b_k = (p/q) a_k + (p/q) beta_lambda - alpha_lambda exactly.  Once a_k
+    equals a_{k-1} every later step repeats step k, and the remaining n - k
+    additions are folded in O(log n) chunks with the same bits.
     """
-    validate_order(lam)
     if n < 1:
         raise GWIError("recursion horizon n must be >= 1")
     if p < 0.0 or q < 0.0:
         raise GWIError("recursion coefficients must be nonnegative")
-    # Python floats throughout: numpy scalars would warn on the inf - inf below
+    # Python floats throughout: numpy scalars would warn on the inf - inf below.
+    # lambda_weights validates lambda.
     p, q, (bl, al) = float(p), float(q), map(float, lambda_weights(params, lam))
     a = b_sum = a_sum = comp = 0.0
-    for _ in range(n):
-        # the a_1 > 0 branch diverges doubly exponentially; saturate at inf
-        e = math.exp(a) if a < 709.0 else math.inf
-        a = q * e - bl if q > 0.0 else -bl
+    exp = math.exp
+    for k in range(1, n + 1):
+        # the a_1 > 0 branch diverges doubly exponentially; saturate at inf.
+        # q = 0 needs no branch: e stays finite and 0*e - beta_lambda is exact
+        e = exp(a) if a < 709.0 else math.inf
+        prev, a = a, q * e - bl
         b_sum += p * e - al if p > 0.0 else -al
         # TwoSum: comp collects the exact rounding error of each addition
         t = a_sum + a
         z = t - a_sum
         comp += (a_sum - (t - z)) + (a - z)
         a_sum = t
+        if a == prev:
+            b_sum = _repeat(b_sum, p * e - al if p > 0.0 else -al, n - k)
+            a_sum, comp = _repeat_two_sum(a_sum, comp, a, n - k)
+            break
     # once a saturates, a_sum is inf and comp nan
-    return RecursionTrace(a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum)
+    return RecursionTrace(a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum, k)
 
 
 def _floor_x_max(params: ParamSet, lam: float) -> int:

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -354,6 +355,30 @@ def test_cli_contract(capsys, command, preset, n):
         argv += ["--reps", "1000"]
     code, _ = run_json(capsys, *argv)
     assert code in (0, 3, 4, 5)
+
+
+#: presets whose expected-population sum overflows a double at n = 1e9
+_ENTROPY_OVERFLOW = ("a2-example", "a3-example", "a4-example", "a5-example", "sp1-small")
+
+_HUGE_N = "1000000000"
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_cli_contract_at_huge_horizon(capsys, preset):
+    """Every recursion reaches its float fixed point long before n = 1e9, so
+    these reports take milliseconds, not minutes, and stay strict JSON."""
+    start = time.perf_counter()
+    for command in ("hellinger", "divergence", "bayes", "nptest"):
+        code, out = run_json(capsys, command, "--preset", preset, "--n", _HUGE_N)
+        assert code == 0, (command, out)
+        assert out["inputs"]["n"] == 10**9
+    code, out = run_json(capsys, "sweep", "--preset", preset, "--axis", "n",
+                         "--grid", f"1:{_HUGE_N}:100000000", "--format", "json")
+    assert code == 0
+    assert [row[0] for row in out["rows"]] == list(range(1, 10**9, 10**8))
+    code, out = run_json(capsys, "entropy", "--preset", preset, "--n", _HUGE_N)
+    assert code == (5 if preset in _ENTROPY_OVERFLOW else 0), out
+    assert time.perf_counter() - start < 30.0
 
 
 _DIFFUSION = ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1",

@@ -24,7 +24,9 @@ from gwidiv import (
 from gwidiv.params import GWIError, phi_eval, varphi_value
 from gwidiv import recursions
 from gwidiv.closed_form import closed_form_log_lower, closed_form_log_upper
-from gwidiv.recursions import CoefficientPair, Constellation, _floor_x_max
+from gwidiv.cli import PRESETS
+from gwidiv.recursions import (CoefficientPair, Constellation, _floor_x_max, _repeat,
+                                _repeat_two_sum)
 
 from conftest import ALL_CASES, log_bound_at, prefix_sequences, random_any, random_params
 
@@ -679,3 +681,167 @@ def test_exact_matches_50_digit_reference(rng, lam):
             value = exact_log_hellinger(params, lam, omega0, n)
             ref, rounding = reference[n]
             assert abs(value - ref) <= rounding, (params, n, value, ref, rounding)
+
+
+# The converged tail: once a_k repeats, run_recursion folds the remaining
+# additions in chunks.  Everything below compares by float.hex with plain
+# in-order loops, so signed zeros and the last bit count.
+
+
+def _plain_repeat(s, c, r):
+    for _ in range(r):
+        s += c
+    return s
+
+
+def _plain_two_sum(s, comp, c, r):
+    for _ in range(r):
+        t = s + c
+        z = t - s
+        comp += (s - (t - z)) + (c - z)
+        s = t
+    return s, comp
+
+
+_ULP1 = math.ulp(1.0)
+_TINY = math.ulp(0.0)
+
+#: (s, c, label) inputs where a chunked fold could go wrong
+REPEAT_INPUTS = [
+    *[(1.0 + _ULP1, sign * (k + 0.5) * _ULP1, f"tie K={k}, s/u odd")
+      for k in (0, 1, 2, 7) for sign in (1.0, -1.0)],
+    *[(s0, sign * (k + 0.5) * _ULP1, f"tie K={k}, s/u even")
+      for s0 in (1.0, 1.0 + 2 * _ULP1) for k in (0, 1, 2, 7) for sign in (1.0, -1.0)],
+    (-(1.5 + _ULP1), -2.5 * _ULP1, "negative tie, s/u odd"),
+    (2.0 - 5 * _ULP1, 1.3 * _ULP1, "up across a binade edge"),
+    (1.0, 0.1, "up across many binades"),
+    (4.0 + 2 * _ULP1, -1.3 * _ULP1, "down across a binade edge"),
+    (1.0, -0.3 * _ULP1, "down from a power of two, |c| < ulp(s)/2"),
+    (1.0, 0.4 * _ULP1, "absorbed, |c| < ulp(s)/2"),
+    (-3.0, 0.2 * _ULP1, "absorbed, negative s"),
+    (1.0, -1e-3, "across zero"),
+    (-0.7, 3.3e-4, "across zero upward"),
+    (0.0, -0.0, "signed zeros"),
+    (-0.0, 0.0, "signed zeros"),
+    (-0.0, -0.0, "signed zeros"),
+    (3 * _TINY, 7 * _TINY, "subnormal"),
+    (2.0**-1022, -3 * _TINY, "smallest normal down through zero"),
+    (-5 * _TINY, 2.0**-1060, "subnormal up across zero"),
+    (1.0, math.inf, "c = inf"),
+    (1.0, -math.inf, "c = -inf"),
+    (2.0**1023, 2.0**1000, "overflow"),
+    (math.inf, 1.0, "s = inf"),
+    (0.1, 0.7, "generic"),
+    (1e6, -0.3, "generic, shrinking"),
+]
+
+REPEAT_COUNTS = (1, 2, 3, 17, 1000, 54_321)
+
+
+class TestRepeatHelpers:
+    @pytest.mark.parametrize("s, c, label", REPEAT_INPUTS)
+    def test_repeat_matches_plain_loop(self, s, c, label):
+        for r in REPEAT_COUNTS:
+            assert _repeat(s, c, r).hex() == _plain_repeat(s, c, r).hex(), (label, r)
+
+    @pytest.mark.parametrize("s, c, label", REPEAT_INPUTS)
+    def test_repeat_two_sum_matches_plain_loop(self, s, c, label):
+        for comp in (0.0, -0.0, 3.5e-17, -math.ulp(s) if math.isfinite(s) else 1.0):
+            for r in REPEAT_COUNTS:
+                got = _repeat_two_sum(s, comp, c, r)
+                want = _plain_two_sum(s, comp, c, r)
+                assert [x.hex() for x in got] == [x.hex() for x in want], (label, comp, r)
+
+    @pytest.mark.parametrize("s, c", [(1.0 + _ULP1, 2.5 * _ULP1), (0.0, 0.1),
+                                      (1.0, -1e-6), (3 * _TINY, 7 * _TINY)])
+    def test_a_million_repeats(self, s, c):
+        r = 10**6
+        assert _repeat(s, c, r).hex() == _plain_repeat(s, c, r).hex()
+        got, want = _repeat_two_sum(s, 0.0, c, r), _plain_two_sum(s, 0.0, c, r)
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_random_triples(self, rng):
+        for _ in range(400):
+            s = float(rng.uniform(-1.0, 1.0)) * 2.0 ** int(rng.integers(-30, 30))
+            c = float(rng.uniform(-1.0, 1.0)) * 2.0 ** int(rng.integers(-60, 0)) * abs(s)
+            if rng.random() < 0.3:  # a tie on s's grid
+                c = math.copysign((int(rng.integers(0, 40)) + 0.5) * math.ulp(s), c)
+            r = int(rng.integers(1, 3000))
+            assert _repeat(s, c, r).hex() == _plain_repeat(s, c, r).hex(), (s, c, r)
+            got, want = _repeat_two_sum(s, 0.0, c, r), _plain_two_sum(s, 0.0, c, r)
+            assert [x.hex() for x in got] == [x.hex() for x in want], (s, c, r)
+
+
+def _in_order_traces(p, q, params, lam, horizons):
+    """{n: (a_n, b_sum, a_sum)} from the full n-step loop, one run up to max(horizons).
+
+    A copy of the fold before the converged tail was fast-forwarded: every
+    step evaluated, in order.
+    """
+    p, q, (bl, al) = float(p), float(q), map(float, lambda_weights(params, lam))
+    a = b_sum = a_sum = comp = 0.0
+    out = {}
+    for k in range(1, max(horizons) + 1):
+        e = math.exp(a) if a < 709.0 else math.inf
+        a = q * e - bl if q > 0.0 else -bl
+        b_sum += p * e - al if p > 0.0 else -al
+        t = a_sum + a
+        z = t - a_sum
+        comp += (a_sum - (t - z)) + (a - z)
+        a_sum = t
+        if k in horizons:
+            out[k] = (a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum)
+    return out
+
+
+def _assert_fold_identical(p, q, params, lam, label):
+    for n, want in _in_order_traces(p, q, params, lam, FOLD_HORIZONS).items():
+        trace = run_recursion(p, q, params, lam, n)
+        got = (trace.a_n, trace.b_sum, trace.a_sum)
+        assert [x.hex() for x in got] == [x.hex() for x in want], (label, params, lam, p, q, n)
+        assert 1 <= trace.steps <= n
+
+
+class TestFastForward:
+    @pytest.mark.parametrize("lam", (0.01, 0.5, 0.99))
+    def test_every_case_pair_bit_identical(self, rng, lam):
+        for case in ALL_CASES:
+            params = random_params(rng, case, lam)
+            c = Constellation(params, lam)
+            pairs = [c.star] if c.case.exactly_computable else [c.star, c.upper, *c.uppers]
+            for pair in pairs:
+                _assert_fold_identical(pair.p, pair.q, params, lam, (case, pair.label))
+
+    @pytest.mark.parametrize("lam", (0.01, 0.5, 0.99))
+    def test_edge_pairs_bit_identical(self, rng, lam):
+        params = random_params(rng, "SP3a", lam)
+        bl, al = lambda_weights(params, lam)
+        for p, q, label in ((0.0, 1.5 * bl, "saturating, p = 0"),
+                            (1.0, 1.5 * bl, "saturating, p > 0"),
+                            (1.0, 0.0, "q = 0"), (0.0, 0.5 * bl, "p = 0"),
+                            (0.0, 0.0, "p = q = 0"), (al, bl, "trivial pair")):
+            _assert_fold_identical(p, q, params, lam, label)
+
+    def test_frozen_pair_stops_at_the_first_step(self):
+        """q = beta_lambda: a_1 = 0.0 repeats a_0, so one step is evaluated at any n."""
+        params = ParamSet(0.8, 0.6, 2, 2)
+        bl, al = lambda_weights(params, 0.5)
+        for n in (1, 2, 10**9):
+            trace = run_recursion(1.3, bl, params, 0.5, n)
+            assert (trace.a_n.hex(), trace.a_sum.hex()) == ((0.0).hex(), (0.0).hex())
+            assert trace.steps == 1
+        assert trace.b_sum == _repeat(0.0, 1.3 - float(al), 10**9)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_stop_point_does_not_depend_on_n(self, preset):
+        """Every preset pair reaches its float fixed point well before 1e5
+        steps, and at the same step for n = 1e5 and n = 1e9."""
+        *quad, lam = PRESETS[preset]
+        params = ParamSet(*quad)
+        c = Constellation(params, lam)
+        pairs = [c.star] if c.case.exactly_computable else [c.star, c.upper, *c.uppers]
+        for pair in pairs:
+            short = run_recursion(pair.p, pair.q, params, lam, 10**5)
+            long = run_recursion(pair.p, pair.q, params, lam, 10**9)
+            assert short.steps == long.steps < 10**5, pair.label
+            assert long.a_n == short.a_n
