@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .params import (
     CaseError,
@@ -56,10 +56,6 @@ _EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
 
 _OMEGA0 = "initial population omega0 must be >= 1"
 
-#: :func:`_repeat` adds its first repeats one by one: a chunk length costs
-#: about 30 plain additions, and near the addend's scale a binade holds few
-_PLAIN_HEAD = 32
-
 
 class CoeffRole(enum.Enum):
     EXACT = "exact"
@@ -87,10 +83,10 @@ class CoefficientPair:
             raise GWIError(f"coefficients must be nonnegative, got ({self.p}, {self.q})")
 
 
-@dataclass(frozen=True)
-class RecursionTrace:
-    """a_n, b_1 + ... + b_n (added in order), a_1 + ... + a_n (compensated)
-    and ``steps``, the steps evaluated: n, or the first k with a_k = a_{k-1}."""
+class RecursionTrace(NamedTuple):
+    """a_n, b_1 + ... + b_n (in order), a_1 + ... + a_n (compensated) and
+    ``steps``, the steps evaluated: n, or the first k with a_k = a_{k-1},
+    after which the n - k repeats join each sum with one rounding."""
 
     a_n: float
     b_sum: float
@@ -98,61 +94,22 @@ class RecursionTrace:
     steps: int
 
 
-def _run_length(s: float, c: float, t: float) -> int:
-    """How many in-order additions of c, from s with t = s + c != s, each add
-    exactly t - s: 0 unless s and t share a sign and an ulp u.
+def _tail(s: float, c: float, r: int, comp: float = 0.0) -> float:
+    """s + comp + r*c rounded once: an exact integer sum over the largest of
+    the three power-of-two denominators, then one correctly rounded int / int.
 
-    Exact sums in [L, H] (L = 2^52 u, or 0 for subnormal u; H = 2^53 u)
-    round to the nearest multiple of u, ties to even: the same step each
-    time until the sum leaves [L, H], except on a tie (c/u a half-integer)
-    from an odd s/u.
+    An inf or nan operand gives what r in-order additions of c to s + comp
+    give; a result beyond the float range is +-inf.
     """
-    u = math.ulp(s)
-    if math.ulp(t) != u or (s < 0.0) != (t < 0.0):
-        return 0
-    sign = -1.0 if s < 0.0 else 1.0
-    big, ratio, step = int(sign * s / u), sign * c / u, int(sign * (t - s) / u)
-    if ratio % 1.0 == 0.5 and big % 2:
-        return 0
-    if step > 0:
-        return (2**53 - big - math.ceil(ratio)) // step + 1
-    low = 0 if u == math.ulp(0.0) else 2**52
-    return max(0, (big - low + math.floor(ratio)) // -step + 1)
-
-
-def _repeat(s: float, c: float, r: int) -> float:
-    """s after r in-order additions s += c, bit for bit, in about one chunk per
-    binade that the running sum passes through."""
-    for _ in range(min(r, _PLAIN_HEAD)):
-        s += c
-    r -= _PLAIN_HEAD
-    while r > 0:
-        t = s + c
-        if t == s or not math.isfinite(t):  # fixed from here on
-            return t
-        m = min(r, _run_length(s, c, t))
-        s, r = (t, r - 1) if m <= 1 else (s + m * (t - s), r - m)
-    return s
-
-
-def _repeat_two_sum(s: float, comp: float, c: float, r: int) -> tuple[float, float]:
-    """(s, comp) after r TwoSum steps adding c, bit for bit.
-
-    Inside a chunk each addition adds exactly z = t - s, so its rounding
-    error c - z is exact and the same every step: comp is a :func:`_repeat`.
-    """
-    while r > 0:
-        t = s + c
-        z = t - s
-        err = (s - (t - z)) + (c - z)
-        if t == s or not math.isfinite(t):  # fixed from here on; so is err
-            return t, _repeat(comp, err, r)
-        m = min(r, _run_length(s, c, t))
-        if m <= 1:
-            s, comp, r = t, comp + err, r - 1
-        else:
-            s, comp, r = s + m * z, _repeat(comp, err, m), r - m
-    return s, comp
+    if not (math.isfinite(s) and math.isfinite(c) and math.isfinite(comp)):
+        return s + comp + c if r else s + comp
+    (ns, ds), (nc, dc), (nm, dm) = map(float.as_integer_ratio, (s, c, comp))
+    d = max(ds, dc, dm)
+    num = ns * (d // ds) + nm * (d // dm) + r * nc * (d // dc)
+    try:
+        return num / d
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
 
 
 def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> RecursionTrace:
@@ -160,8 +117,8 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
 
     A scalar fold from a_0 = b_0 = 0 that keeps no sequence.  For q > 0,
     b_k = (p/q) a_k + (p/q) beta_lambda - alpha_lambda exactly.  Once a_k
-    equals a_{k-1} every later step repeats step k, and the remaining n - k
-    additions are folded in O(log n) chunks with the same bits.
+    equals a_{k-1} every later step repeats step k: the loop stops there and
+    adds the n - k repeats to each sum with one rounding, in O(1).
     """
     if n < 1:
         raise GWIError("recursion horizon n must be >= 1")
@@ -184,8 +141,10 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
         comp += (a_sum - (t - z)) + (a - z)
         a_sum = t
         if a == prev:
-            b_sum = _repeat(b_sum, p * e - al if p > 0.0 else -al, n - k)
-            a_sum, comp = _repeat_two_sum(a_sum, comp, a, n - k)
+            b_sum = _tail(b_sum, p * e - al if p > 0.0 else -al, n - k)
+            # zeros add exactly; a saturated a_sum stays what it is
+            if a != 0.0 and math.isfinite(a_sum):
+                a_sum, comp = _tail(a_sum, a, n - k, comp), 0.0
             break
     # once a saturates, a_sum is inf and comp nan
     return RecursionTrace(a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum, k)
@@ -219,21 +178,21 @@ class Constellation:
     """One (params, lambda): its case, lambda weights and coefficient pairs.
 
     The constructor validates lambda, classifies, and sets the weights and
-    the geometric-mean pair ``star`` (role EXACT on NI/SP1, LOWER
-    elsewhere).  The majorants of phi are built, and checked on the
-    lattice, on first use.  Each public function builds one object per
-    call; nothing is kept across calls.
+    the geometric-mean pair ``star`` = (min(p_E, alpha_lambda), min(q_E,
+    beta_lambda)), role EXACT on NI/SP1 and LOWER elsewhere; the clamp keeps
+    weighted AM-GM where the float geometric mean rounds above the weight.
+    Majorants of phi are built, and checked on the lattice, on first use.
     """
 
     def __init__(self, params: ParamSet, lam: float) -> None:
         self.params = params
         self.lam = validate_order(lam)
         self.case = classify(params, self.lam)
-        self.weights = lambda_weights(params, self.lam)
+        self.weights = bl, al = lambda_weights(params, self.lam)
         role = CoeffRole.EXACT if self.case.exactly_computable else CoeffRole.LOWER
-        self.star = CoefficientPair(_geometric_mean(params.alpha_a, params.alpha_h, self.lam),
-                                    _geometric_mean(params.beta_a, params.beta_h, self.lam),
-                                    role, "geometric-mean")
+        p_e = _geometric_mean(params.alpha_a, params.alpha_h, self.lam)
+        q_e = _geometric_mean(params.beta_a, params.beta_h, self.lam)
+        self.star = CoefficientPair(min(p_e, al), min(q_e, bl), role, "geometric-mean")
 
     @cached_property
     def asymptote(self) -> CoefficientPair:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -60,21 +61,74 @@ def random_any(rng: np.random.Generator, lam: float = 0.5) -> ParamSet:
     return random_params(rng, ALL_CASES[rng.integers(0, len(ALL_CASES))], lam)
 
 
+def exact_tail(s: float, c: float, r: int, comp: float = 0.0) -> float:
+    """s + comp + r*c in exact rational arithmetic, rounded once.
+
+    An inf or nan operand gives what r in-order additions of c to s + comp
+    give (once inf or nan, a sum no longer changes); an exact result beyond
+    the float range is +-inf.
+    """
+    if not all(map(math.isfinite, (s, c, comp))):
+        return s + comp + c if r else s + comp
+    exact = Fraction(s) + Fraction(comp) + r * Fraction(c)
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def reference_traces(p: float, q: float, params: ParamSet, lam: float, horizons):
+    """{n: (a_n, b_sum, a_sum, steps)}: the contract of ``run_recursion``, one
+    run up to max(horizons).
+
+    Every step in order (b added plainly, a with TwoSum compensation) up to
+    the first k with a_k == a_{k-1}; a later horizon n adds the n - k repeats
+    of (a_k, b_k) in ``fractions.Fraction`` and rounds once.
+    """
+    p, q, (bl, al) = float(p), float(q), map(float, lambda_weights(params, lam))
+    a = b_sum = a_sum = comp = 0.0
+    out = {}
+    for k in range(1, max(horizons) + 1):
+        e = math.exp(a) if a < 709.0 else math.inf
+        prev, a = a, q * e - bl if q > 0.0 else -bl
+        b = p * e - al if p > 0.0 else -al
+        b_sum += b
+        t = a_sum + a
+        z = t - a_sum
+        comp += (a_sum - (t - z)) + (a - z)
+        a_sum = t
+        if k in horizons:
+            out[k] = (a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum, k)
+        if a == prev:
+            for n in horizons:
+                if n > k:
+                    tail_a = exact_tail(a_sum, a, n - k, comp) if math.isfinite(a_sum) else a_sum
+                    out[n] = (a, exact_tail(b_sum, b, n - k), tail_a, k)
+            break
+    return out
+
+
+def assert_trace_matches(trace, want, label=None) -> None:
+    """``trace`` equals the reference tuple ``want``, bit for bit."""
+    assert [x.hex() for x in trace[:3]] == [x.hex() for x in want[:3]], (label, trace, want)
+    assert trace.steps == want[3], (label, trace, want)
+
+
 def prefix_sequences(p: float, q: float, params: ParamSet, lam: float, n: int):
     """a[0..n] and b[0..n] of the a/b recursion, with a[0] = b[0] = 0.
 
-    a[k] is the end state of a k-step ``run_recursion``.  b[k] =
-    p*exp(a[k-1]) - alpha_lambda is rebuilt from a[k-1], and every prefix's
-    ``b_sum`` must be the in-order sum of these b[k], bit for bit.
+    a[k] is the end state of a k-step ``run_recursion``, and b[k] =
+    p*exp(a[k-1]) - alpha_lambda is rebuilt from a[k-1].  Every prefix's
+    trace must match :func:`reference_traces` bit for bit.
     """
     _, al = lambda_weights(params, lam)
-    a, b, b_sum = [0.0], [0.0], 0.0
+    reference = reference_traces(p, q, params, lam, range(1, n + 1))
+    a, b = [0.0], [0.0]
     for k in range(1, n + 1):
         trace = run_recursion(p, q, params, lam, k)
+        assert_trace_matches(trace, reference[k], k)
         e = math.exp(a[-1]) if a[-1] < 709.0 else math.inf
         b.append(p * e - al if p > 0.0 else -al)
-        b_sum += b[-1]
-        assert trace.b_sum == b_sum
         a.append(trace.a_n)
     return np.array(a), np.array(b)
 

@@ -99,6 +99,18 @@ class TestHellinger:
         assert out["log_exact"] < -700.0
         assert out["hellinger_exact"] is None
 
+    def test_near_identical_sp1_is_reported(self, capsys):
+        """The float geometric mean rounds above the lambda-weight here; the
+        report used to be refused with exit code 5."""
+        code, out = run_json(
+            capsys, "hellinger", "--beta-a", "2.5593272465407857", "--beta-h",
+            "2.5593272465409647", "--alpha-a", "5.118654493081571", "--alpha-h",
+            "5.118654493081929", "--lambda", "0.6963088582540318", "--omega0", "3",
+            "--n", "50",
+        )
+        assert code == 0
+        assert out["log_lower"] == out["log_exact"] == out["log_upper"] <= 0.0
+
 
 class TestVerify:
     def test_preset_pass(self, capsys):

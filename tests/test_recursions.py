@@ -1,6 +1,7 @@
 """Backbone recursions, coefficient selection and recursive bounds."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,14 +22,14 @@ from gwidiv import (
     sp3d_log_delta,
     upper_candidates,
 )
-from gwidiv.params import GWIError, phi_eval, varphi_value
+from gwidiv.params import GWIError, _geometric_mean, phi_eval, varphi_value
 from gwidiv import recursions
 from gwidiv.closed_form import closed_form_log_lower, closed_form_log_upper
 from gwidiv.cli import PRESETS
-from gwidiv.recursions import (CoefficientPair, Constellation, _floor_x_max, _repeat,
-                                _repeat_two_sum)
+from gwidiv.recursions import CoefficientPair, Constellation, _floor_x_max, _tail
 
-from conftest import ALL_CASES, log_bound_at, prefix_sequences, random_any, random_params
+from conftest import (ALL_CASES, assert_trace_matches, exact_tail, log_bound_at,
+                      prefix_sequences, random_any, random_params, reference_traces)
 
 
 class TestRunRecursion:
@@ -544,8 +545,9 @@ def test_dispatcher_rejects_omega0_below_one_at_every_horizon(rng):
 
 # A copy of the array recursion that the scalar fold replaced: per-step
 # ndarrays, np.cumsum for the b-sum and the pairwise np.sum for the exact
-# value.  Bounds must match it bit for bit; the exact value, whose a-sum is
-# now compensated, within 1e-15 relative.
+# value.  Bounds must match it bit for bit up to the first k with a_k ==
+# a_{k-1}, and beyond it add the repeats of b_k exactly, rounded once; the
+# exact value, whose a-sum is compensated, must match within 1e-15 relative.
 
 
 def _ref_trace(p, q, params, lam, n):
@@ -559,27 +561,33 @@ def _ref_trace(p, q, params, lam, n):
     return a, b
 
 
-def _ref_log_bound_sequence(pair, params, lam, omega0, n):
-    a, b = _ref_trace(pair.p, pair.q, params, lam, n)
-    return a * omega0 + np.concatenate(([0.0], np.cumsum(b[1:])))
+def _ref_log_bounds(pair, params, lam, omega0, horizons):
+    """{n: a_n*omega0 + b-sum}: np.cumsum up to the first k with a_k == a_{k-1},
+    then the n - k repeats of b_k added exactly and rounded once."""
+    a, b = _ref_trace(pair.p, pair.q, params, lam, max(horizons))
+    b_sums = np.concatenate(([0.0], np.cumsum(b[1:])))
+    stops = np.flatnonzero(a[1:] == a[:-1])
+    k = int(stops[0]) + 1 if stops.size else max(horizons)
+    return {n: float(a[n] * omega0 + (b_sums[n] if n <= k else
+                                      exact_tail(float(b_sums[k]), float(b[k]), n - k)))
+            for n in horizons}
 
 
 def _ref_recursive_log_bounds(params, lam, omega0, horizons):
     """{n: (log_lower, log_upper, method)}, one array run per pair up to max(horizons)."""
     c = Constellation(params, lam)
-    top = max(horizons)
-    lower = _ref_log_bound_sequence(c.star, params, lam, omega0, top)
-    uppers = [(pair.label, _ref_log_bound_sequence(pair, params, lam, omega0, top))
+    lower = _ref_log_bounds(c.star, params, lam, omega0, horizons)
+    uppers = [(pair.label, _ref_log_bounds(pair, params, lam, omega0, horizons))
               for pair in c.uppers]
     out = {}
     for n in horizons:
         best_upper, best_label = 0.0, "cutoff(1)"
-        for label, seq in uppers:
-            if float(seq[n]) < best_upper:
-                best_upper, best_label = float(seq[n]), label
+        for label, values in uppers:
+            if values[n] < best_upper:
+                best_upper, best_label = values[n], label
         if c.case is CaseTag.SP3D and (n // 2) * c.log_delta() < best_upper:
             best_upper, best_label = (n // 2) * c.log_delta(), "separation-delta"
-        out[n] = (float(lower[n]), best_upper, f"lower:geometric-mean upper:{best_label}")
+        out[n] = (lower[n], best_upper, f"lower:geometric-mean upper:{best_label}")
     return out
 
 
@@ -621,10 +629,11 @@ class TestFoldMatchesArrayPath:
         """q > beta_lambda: a reaches inf and stays there; a_sum is inf, not nan."""
         params = ParamSet(0.8, 0.6, 2.0, 1.9)
         a, b = _ref_trace(1.0, 1.5, params, 0.5, 40)
-        seq = _ref_log_bound_sequence(CoefficientPair(1.0, 1.5, CoeffRole.UPPER), params,
-                                      0.5, 3, 40)
+        horizons = (1, 2, 3, 5, 10, 40)
+        seq = _ref_log_bounds(CoefficientPair(1.0, 1.5, CoeffRole.UPPER), params, 0.5, 3,
+                              horizons)
         assert math.isinf(a[40])
-        for n in (1, 2, 3, 5, 10, 40):
+        for n in horizons:
             trace = run_recursion(1.0, 1.5, params, 0.5, n)
             assert trace.a_n == a[n]
             assert trace.b_sum == np.cumsum(b[1:])[n - 1]
@@ -683,9 +692,11 @@ def test_exact_matches_50_digit_reference(rng, lam):
             assert abs(value - ref) <= rounding, (params, n, value, ref, rounding)
 
 
-# The converged tail: once a_k repeats, run_recursion folds the remaining
-# additions in chunks.  Everything below compares by float.hex with plain
-# in-order loops, so signed zeros and the last bit count.
+# The converged tail: once a_k repeats, run_recursion adds the remaining
+# n - k repeats to each sum with one rounding (_tail).  Everything below
+# compares by float.hex with the exact sum rounded once, so signed zeros and
+# the last bit count.  The plain in-order loops stay as a yardstick: the one
+# rounding lies within their own rounding error of them.
 
 
 def _plain_repeat(s, c, r):
@@ -703,10 +714,18 @@ def _plain_two_sum(s, comp, c, r):
     return s, comp
 
 
+def _plain_error_bound(s, c, r):
+    """How far r in-order additions of c to s can round: at most half an ulp
+    of a partial sum each.  The partial sums lie near [s, s + r*c], so a whole
+    ulp of the larger end covers each with room to spare."""
+    return r * math.ulp(max(abs(s), abs(s + r * c)))
+
+
 _ULP1 = math.ulp(1.0)
 _TINY = math.ulp(0.0)
 
-#: (s, c, label) inputs where a chunked fold could go wrong
+#: (s, c, label) edge inputs of the tail: ties, binade edges, signed zeros,
+#: subnormals, inf, nan and overflow
 REPEAT_INPUTS = [
     *[(1.0 + _ULP1, sign * (k + 0.5) * _ULP1, f"tie K={k}, s/u odd")
       for k in (0, 1, 2, 7) for sign in (1.0, -1.0)],
@@ -733,32 +752,67 @@ REPEAT_INPUTS = [
     (math.inf, 1.0, "s = inf"),
     (0.1, 0.7, "generic"),
     (1e6, -0.3, "generic, shrinking"),
+    (1.0, 0.5 * _ULP1, "half an ulp"),
+    (math.inf, -math.inf, "inf - inf"),
+    (1.0, math.nan, "c = nan"),
+    (math.nan, 1.0, "s = nan"),
+    (-1e308, -1e300, "overflow to -inf"),
 ]
 
+#: counts the plain loops can run
 REPEAT_COUNTS = (1, 2, 3, 17, 1000, 54_321)
+
+#: counts of a horizon up to 2**62
+TAIL_COUNTS = (0, 1, 2, 17, 54_321, 10**9, 2**62)
+
+
+def _comps(s):
+    return (0.0, -0.0, 3.5e-17, -math.ulp(s) if math.isfinite(s) else math.nan)
+
+
+def _assert_near_plain_repeat(s, c, r, label):
+    got, loop = _tail(s, c, r), _plain_repeat(s, c, r)
+    assert got.hex() == exact_tail(s, c, r).hex(), (label, r)
+    if all(map(math.isfinite, (s, c, loop))):
+        assert abs(got - loop) <= _plain_error_bound(s, c, r), (label, r, got, loop)
+    else:
+        assert got.hex() == loop.hex(), (label, r)
+
+
+def _assert_near_plain_two_sum(s, comp, c, r, label):
+    """The compensated loop's s + comp is within the error bound of Ogita,
+    Rump and Oishi's Sum2 of the exact sum: an ulp of the result plus
+    gamma_r^2 times the sum of the magnitudes of the terms."""
+    got = _tail(s, c, r, comp)
+    assert got.hex() == exact_tail(s, c, r, comp).hex(), (label, comp, r)
+    t, err = _plain_two_sum(s, comp, c, r)
+    if math.isfinite(t):
+        gamma = r * 2.0**-53 / (1.0 - r * 2.0**-53)
+        bound = math.ulp(got) + gamma**2 * (abs(s) + abs(comp) + r * abs(c))
+        assert abs(got - (t + err)) <= bound, (label, comp, r, got, t + err)
+    else:  # run_recursion reports a saturated sum as it is
+        assert got.hex() == t.hex(), (label, comp, r)
 
 
 class TestRepeatHelpers:
+    """``_tail``, which adds the converged repeats: s + comp + r*c rounded once."""
+
     @pytest.mark.parametrize("s, c, label", REPEAT_INPUTS)
     def test_repeat_matches_plain_loop(self, s, c, label):
         for r in REPEAT_COUNTS:
-            assert _repeat(s, c, r).hex() == _plain_repeat(s, c, r).hex(), (label, r)
+            _assert_near_plain_repeat(s, c, r, label)
 
     @pytest.mark.parametrize("s, c, label", REPEAT_INPUTS)
     def test_repeat_two_sum_matches_plain_loop(self, s, c, label):
         for comp in (0.0, -0.0, 3.5e-17, -math.ulp(s) if math.isfinite(s) else 1.0):
             for r in REPEAT_COUNTS:
-                got = _repeat_two_sum(s, comp, c, r)
-                want = _plain_two_sum(s, comp, c, r)
-                assert [x.hex() for x in got] == [x.hex() for x in want], (label, comp, r)
+                _assert_near_plain_two_sum(s, comp, c, r, label)
 
     @pytest.mark.parametrize("s, c", [(1.0 + _ULP1, 2.5 * _ULP1), (0.0, 0.1),
                                       (1.0, -1e-6), (3 * _TINY, 7 * _TINY)])
     def test_a_million_repeats(self, s, c):
-        r = 10**6
-        assert _repeat(s, c, r).hex() == _plain_repeat(s, c, r).hex()
-        got, want = _repeat_two_sum(s, 0.0, c, r), _plain_two_sum(s, 0.0, c, r)
-        assert [x.hex() for x in got] == [x.hex() for x in want]
+        _assert_near_plain_repeat(s, c, 10**6, "a million")
+        _assert_near_plain_two_sum(s, 0.0, c, 10**6, "a million")
 
     def test_random_triples(self, rng):
         for _ in range(400):
@@ -767,38 +821,36 @@ class TestRepeatHelpers:
             if rng.random() < 0.3:  # a tie on s's grid
                 c = math.copysign((int(rng.integers(0, 40)) + 0.5) * math.ulp(s), c)
             r = int(rng.integers(1, 3000))
-            assert _repeat(s, c, r).hex() == _plain_repeat(s, c, r).hex(), (s, c, r)
-            got, want = _repeat_two_sum(s, 0.0, c, r), _plain_two_sum(s, 0.0, c, r)
-            assert [x.hex() for x in got] == [x.hex() for x in want], (s, c, r)
+            _assert_near_plain_repeat(s, c, r, (s, c))
+            _assert_near_plain_two_sum(s, 0.0, c, r, (s, c))
+            comp = float(rng.uniform(-1.0, 1.0)) * math.ulp(s)
+            r = int(rng.integers(0, 2**62))
+            assert _tail(s, c, r, comp).hex() == exact_tail(s, c, r, comp).hex(), (s, c, r, comp)
+
+    @pytest.mark.parametrize("s, c, label", REPEAT_INPUTS)
+    def test_exact_sum_rounded_once(self, s, c, label):
+        for comp in _comps(s):
+            for r in TAIL_COUNTS:
+                want = exact_tail(s, c, r, comp)
+                assert _tail(s, c, r, comp).hex() == want.hex(), (label, comp, r)
+
+    @pytest.mark.parametrize("s, c, label", REPEAT_INPUTS)
+    def test_no_repeats_is_one_addition(self, s, c, label):
+        for comp in _comps(s):
+            if s == comp == 0.0 and math.copysign(1.0, s) == math.copysign(1.0, comp) == -1.0:
+                continue  # -0.0 + -0.0 is -0.0; an exact zero sum is +0.0
+            assert _tail(s, c, 0, comp).hex() == (s + comp).hex(), (label, comp)
+
+    def test_overflow_is_inf(self):
+        assert _tail(1.0, 1e300, 10**9) == math.inf
+        assert _tail(-1.0, -2.0**1000, 2**62) == -math.inf
+        assert _tail(math.nextafter(math.inf, 0.0), 0.0, 2**62, 2.0**970) == math.inf
 
 
-def _in_order_traces(p, q, params, lam, horizons):
-    """{n: (a_n, b_sum, a_sum)} from the full n-step loop, one run up to max(horizons).
-
-    A copy of the fold before the converged tail was fast-forwarded: every
-    step evaluated, in order.
-    """
-    p, q, (bl, al) = float(p), float(q), map(float, lambda_weights(params, lam))
-    a = b_sum = a_sum = comp = 0.0
-    out = {}
-    for k in range(1, max(horizons) + 1):
-        e = math.exp(a) if a < 709.0 else math.inf
-        a = q * e - bl if q > 0.0 else -bl
-        b_sum += p * e - al if p > 0.0 else -al
-        t = a_sum + a
-        z = t - a_sum
-        comp += (a_sum - (t - z)) + (a - z)
-        a_sum = t
-        if k in horizons:
-            out[k] = (a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum)
-    return out
-
-
-def _assert_fold_identical(p, q, params, lam, label):
-    for n, want in _in_order_traces(p, q, params, lam, FOLD_HORIZONS).items():
+def _assert_contract(p, q, params, lam, label):
+    for n, want in reference_traces(p, q, params, lam, FOLD_HORIZONS).items():
         trace = run_recursion(p, q, params, lam, n)
-        got = (trace.a_n, trace.b_sum, trace.a_sum)
-        assert [x.hex() for x in got] == [x.hex() for x in want], (label, params, lam, p, q, n)
+        assert_trace_matches(trace, want, (label, params, lam, p, q, n))
         assert 1 <= trace.steps <= n
 
 
@@ -810,7 +862,7 @@ class TestFastForward:
             c = Constellation(params, lam)
             pairs = [c.star] if c.case.exactly_computable else [c.star, c.upper, *c.uppers]
             for pair in pairs:
-                _assert_fold_identical(pair.p, pair.q, params, lam, (case, pair.label))
+                _assert_contract(pair.p, pair.q, params, lam, (case, pair.label))
 
     @pytest.mark.parametrize("lam", (0.01, 0.5, 0.99))
     def test_edge_pairs_bit_identical(self, rng, lam):
@@ -820,7 +872,7 @@ class TestFastForward:
                             (1.0, 1.5 * bl, "saturating, p > 0"),
                             (1.0, 0.0, "q = 0"), (0.0, 0.5 * bl, "p = 0"),
                             (0.0, 0.0, "p = q = 0"), (al, bl, "trivial pair")):
-            _assert_fold_identical(p, q, params, lam, label)
+            _assert_contract(p, q, params, lam, label)
 
     def test_frozen_pair_stops_at_the_first_step(self):
         """q = beta_lambda: a_1 = 0.0 repeats a_0, so one step is evaluated at any n."""
@@ -830,7 +882,7 @@ class TestFastForward:
             trace = run_recursion(1.3, bl, params, 0.5, n)
             assert (trace.a_n.hex(), trace.a_sum.hex()) == ((0.0).hex(), (0.0).hex())
             assert trace.steps == 1
-        assert trace.b_sum == _repeat(0.0, 1.3 - float(al), 10**9)
+        assert trace.b_sum == float(10**9 * Fraction(1.3 - float(al)))
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_stop_point_does_not_depend_on_n(self, preset):
@@ -845,3 +897,120 @@ class TestFastForward:
             long = run_recursion(pair.p, pair.q, params, lam, 10**9)
             assert short.steps == long.steps < 10**5, pair.label
             assert long.a_n == short.a_n
+
+
+def _exact_fold_sums(p, q, params, lam, n, steps):
+    """(b-sum, a-sum) as Fractions: the fold's own float terms a_k, b_k for
+    k <= steps, then n - steps more copies of the last pair, added exactly."""
+    p, q, (bl, al) = float(p), float(q), map(float, lambda_weights(params, lam))
+    a = 0.0
+    b_total = a_total = Fraction(0)
+    for _ in range(steps):
+        e = math.exp(a) if a < 709.0 else math.inf
+        a = q * e - bl
+        b = p * e - al if p > 0.0 else -al
+        b_total += Fraction(b)
+        a_total += Fraction(a)
+    return b_total + (n - steps) * Fraction(b), a_total + (n - steps) * Fraction(a)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_sums_within_1e_15_of_their_exact_terms(preset):
+    """The in-order b-sum drifted by up to 2.2e-8 relative at n = 1e9; with
+    the tail added once, both sums stay within 1e-15 of the exact sum of the
+    fold's own float terms."""
+    *quad, lam = PRESETS[preset]
+    params = ParamSet(*quad)
+    c = Constellation(params, lam)
+    pairs = [c.star] if c.case.exactly_computable else [c.star, c.upper, *c.uppers]
+    for pair in pairs:
+        for n in (10**3, 10**5, 10**9):
+            trace = run_recursion(pair.p, pair.q, params, lam, n)
+            b_exact, a_exact = _exact_fold_sums(pair.p, pair.q, params, lam, n, trace.steps)
+            for got, exact in ((trace.b_sum, b_exact), (trace.a_sum, a_exact)):
+                assert abs(Fraction(got) - exact) <= Fraction(1e-15) * abs(exact), (pair, n)
+
+
+def test_sp3c_long_lower_bound_matches_40_digit_run():
+    """ROADMAP item 4's SP3c example: the float lower bound at n = 1e5 against
+    the same float-coefficient recursion run at 40 digits (8.3e-13 relative
+    when the tail was added in order)."""
+    import mpmath
+
+    params, lam, omega0, n = ParamSet(0.516, 0.351, 2.120, 2.660), 0.5, 5, 10**5
+    c = Constellation(params, lam)
+    assert c.case is CaseTag.SP3C
+    with mpmath.workdps(40):
+        p, q, bl, al = map(mpmath.mpf, (c.star.p, c.star.q, *c.weights))
+        a = total = mpmath.mpf(0)
+        for k in range(1, n + 1):
+            e = mpmath.exp(a)
+            prev, a = a, q * e - bl
+            total += p * e - al
+            if a == prev:  # fixed at 40 digits: every later step repeats this one
+                total += (n - k) * (p * e - al)
+                break
+        ref = float(a * omega0 + total)
+    value = recursive_log_bounds(params, lam, omega0, n).log_lower
+    assert abs(value - ref) <= 1e-14 * abs(ref), (value, ref)
+
+
+class TestGeometricMeanClamp:
+    """The geometric-mean pair is clamped at the lambda-weights (weighted
+    AM-GM); where the float geometric mean rounds above them, the lower
+    bound used to diverge and the exact value to turn positive."""
+
+    def test_sp4_lower_bound_stays_finite(self):
+        params = ParamSet(1.7219844671664608, 1.7219844671664608, 1.9893907935236532,
+                          0.6217259872658669)
+        lam = 0.47682614452534827
+        report = log_hellinger_bounds(params, lam, 5, 10**4)
+        assert report.case is CaseTag.SP4
+        assert math.isfinite(report.log_lower)
+        assert report.log_lower <= report.log_upper <= 0.0
+
+    def test_sp4_sweep(self):
+        rng = np.random.default_rng(1433)
+        above = 0
+        for _ in range(3000):
+            lam = float(rng.uniform(0.0, 1.0))
+            beta = float(rng.uniform(0.3, 2.0))
+            alpha_a, alpha_h = (float(x) for x in rng.uniform(0.2, 2.0, size=2))
+            params = ParamSet(beta, beta, alpha_a, alpha_h)
+            bl, _ = lambda_weights(params, lam)
+            above += _geometric_mean(beta, beta, lam) > bl
+            report = log_hellinger_bounds(params, lam, 5, 10**4)
+            assert report.log_lower <= report.log_upper <= 0.0, (params, lam, report)
+        assert above > 50  # 99 of 3000: the sweep reaches the constellations the clamp is for
+
+    @pytest.mark.parametrize("lam", (0.3, 0.5, 0.7))
+    def test_near_identical_ni(self, lam):
+        params = ParamSet(0.5, 0.5000000000000001, 0.0, 0.0)
+        assert exact_log_hellinger(params, lam, 3, 10) <= 0.0
+        report = log_hellinger_bounds(params, lam, 3, 10)
+        assert report.log_lower <= report.log_upper <= 0.0
+
+    def test_near_identical_sp1(self):
+        params = ParamSet(2.5593272465407857, 2.5593272465409647, 5.118654493081571,
+                          5.118654493081929)
+        lam = 0.6963088582540318
+        assert exact_log_hellinger(params, lam, 3, 50) <= 0.0
+        report = log_hellinger_bounds(params, lam, 3, 50)
+        assert report.log_lower <= report.log_upper <= 0.0
+
+    def test_near_identical_sweep(self):
+        rng = np.random.default_rng(5071)
+        for _ in range(2000):
+            lam = float(rng.uniform(0.01, 0.99))
+            beta_a = float(rng.uniform(0.3, 3.0))
+            beta_h = beta_a * (1.0 + float(rng.choice((-1.0, 1.0)))
+                               * 10.0 ** float(rng.uniform(-16.0, -13.0)))
+            if beta_h == beta_a:  # the gap rounded away; the laws must differ
+                beta_h = math.nextafter(beta_a, math.inf)
+            scale = float(rng.choice((0.0, rng.uniform(0.3, 2.0))))
+            params = ParamSet(beta_a, beta_h, scale * beta_a, scale * beta_h)
+            if not classify(params, lam).exactly_computable:
+                continue  # scale * beta rounded to equal immigration rates: SP2
+            n = int(rng.integers(1, 100))
+            report = log_hellinger_bounds(params, lam, 3, n)
+            assert report.log_lower == report.log_exact == report.log_upper <= 0.0
