@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .decisions import DecisionConfig
-from .params import GWIError, ParamSet, phi_eval, validate_order, varphi_value
+from .params import GWIError, ParamSet, lambda_weights, phi_eval, validate_order, varphi_value
 
 __all__ = [
     "PathLaw",
@@ -85,11 +85,9 @@ def _poisson_pmf(k: np.ndarray, mu) -> np.ndarray:
     return np.clip(np.exp(xlogy(k, mu) - gammaln(k + 1) - mu), 0.0, 1.0)
 
 
-def _poisson_sf(k: int, mu: float) -> float:
-    """P(Poisson(mu) > k) for an integer k."""
-    if k < 0:
-        return 1.0
-    return min(max(float(pdtrc(k, mu)), 0.0), 1.0)
+def _poisson_sf(k, mu) -> np.ndarray:
+    """P(Poisson(mu) > k) at the integers k (k and mu broadcast)."""
+    return np.where(np.less(k, 0), 1.0, np.clip(pdtrc(k, mu), 0.0, 1.0))
 
 
 def _poisson_isf(q: float, mu: np.ndarray) -> np.ndarray:
@@ -130,6 +128,20 @@ def _poisson_cutoffs(rates: np.ndarray, eps: float, max_state: int) -> list[int]
     return out
 
 
+def _initial_population(omega0, n: int, n_min: int, cap: int | None = None) -> int:
+    """omega0 as an int, after checking it is an integer in [1, cap] and n >= n_min.
+
+    Python and numpy integers pass; bools and every other type are refused.
+    """
+    if isinstance(omega0, bool) or not isinstance(omega0, (int, np.integer)):
+        raise GWIError(f"omega0 must be an integer, got {omega0!r}")
+    if omega0 < 1 or n < n_min:
+        raise GWIError(f"need omega0 >= 1 and n >= {n_min}")
+    if cap is not None and omega0 > cap:
+        raise GWIError(f"omega0 = {omega0} exceeds the state cap max_state = {cap}")
+    return int(omega0)
+
+
 def enum_log_hellinger_profile(
     params: ParamSet,
     lam: float,
@@ -143,9 +155,11 @@ def enum_log_hellinger_profile(
     exp(log_value) <= H_k <= exp(log_value) + error_bound.
     """
     lam = validate_order(lam)
-    if omega0 < 1 or n < 0:
-        raise GWIError("need omega0 >= 1 and n >= 0")
     cap = policy.max_state
+    omega0 = _initial_population(omega0, n, 0, cap)
+    bl, al = lambda_weights(params, lam)
+    # on NI/SP1 phi is affine; phi_eval uses the exact form phi(0) + phi'(0) x
+    linear = phi_eval(params, lam, 0.0) if params.gamma == 0.0 else None
     weights = np.zeros(cap + 1)
     weights[omega0] = 1.0
     trimmed = 0.0
@@ -153,23 +167,28 @@ def enum_log_hellinger_profile(
     for _step in range(n):
         live = np.nonzero(weights)[0]
         eps = policy.tail_budget / (max(n, 1) * max(len(live), 1))
-        rates = np.array([varphi_value(params, lam, float(x)) for x in live])
-        totals = [math.exp(phi_eval(params, lam, float(x)).phi) for x in live]
+        xs = live.astype(float).tolist()
+        varphis = [varphi_value(params, lam, x) for x in xs]
+        # exp(phi) with phi_eval's own arithmetic, from the varphi just computed
+        if linear is None:
+            totals = [math.exp(v - (al + bl * x)) for v, x in zip(varphis, xs)]
+        else:
+            totals = [math.exp(linear.phi + linear.phi_prime * x) for x in xs]
+        rates = np.array(varphis)
         cutoffs = _poisson_cutoffs(rates, eps, cap)
-        # one pmf row per live state, each up to the largest cutoff
-        pmf_rows = _poisson_pmf(np.arange(max(cutoffs, default=0) + 1), rates[:, None])
-        new_weights = np.zeros(cap + 1)
-        for x, rate, total, y_max, pmf in zip(live, rates.tolist(), totals, cutoffs, pmf_rows):
-            w = weights[x]
-            if rate == 0.0:
-                # extinct no-immigration state: kernel is a point mass at 0
-                new_weights[0] += w * total
-                continue
-            row = total * pmf[: y_max + 1]
-            kept = row.sum()
-            trimmed += w * max(total - kept, 0.0)
-            new_weights[: y_max + 1] += w * row
-        weights = new_weights
+        # one kernel row per live state, zero past its cutoff (an extinct NI
+        # state, rate 0, has the row (total, 0, ...)), plus a spare zero
+        # column: numpy adds the rows of an (R, K >= 2) matrix along axis 0
+        # one after another, in state order as the per-state loop did, but
+        # sums an (R, 1) one pairwise
+        ys = np.arange(max(cutoffs, default=0) + 2)
+        rows = np.array(totals)[:, None] * _poisson_pmf(ys, rates[:, None])
+        rows[ys[None, :] > np.array(cutoffs)[:, None]] = 0.0
+        w_live = weights[live]
+        for w, total, row, y_max in zip(w_live.tolist(), totals, rows, cutoffs):
+            trimmed += w * max(total - row[: y_max + 1].sum(), 0.0)
+        weights = np.zeros(cap + 1)
+        weights[: len(ys)] = (w_live[:, None] * rows).sum(axis=0)
         kept = weights.sum()
         # the cushion absorbs float rounding of the kept-mass summation, so
         # the enclosure stays valid beyond the exact-arithmetic argument
@@ -202,13 +221,18 @@ def mc_log_hellinger(
     Paths are simulated under the hypothesis law in fixed-size blocks, each
     driven by its own counter-based Philox stream keyed by (seed, block), so
     the result is bit-reproducible for a given seed.  Returns the log-scale
-    estimate and its delta-method log-scale standard error.
+    estimate and its delta-method log-scale standard error.  That error is an
+    estimate, not a certificate: on a heavy-tailed law the sample misses the
+    rare paths that carry most of the integral.  For the SP3b law
+    ParamSet(0.8652015606657605, 0.41477744087016977, 1.2142988534394856,
+    0.2633468617418253) at lambda 0.9, omega0 5, n 5 and 10,000 paths
+    (seed 1130065792) it returns -1.380 +- 0.085, eight standard errors
+    below the enumerated -0.6938.
     """
     lam = validate_order(lam)
     if reps < 1000:
         raise GWIError("need reps >= 1000")
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
+    omega0 = _initial_population(omega0, n, 1)
     scores = np.empty(reps)
     done = 0
     block_index = 0
@@ -254,8 +278,7 @@ def path_law_atoms(
     trimmed masses and the first-overshoot estimate of the trimmed |log Z|
     mass used by the entropy oracle.
     """
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
+    omega0 = _initial_population(omega0, n, 1, policy.max_state)
     # the atoms, sorted by state and, within a state, by log Z
     states = np.full(1, omega0, dtype=np.int64)
     log_z = np.zeros(1)
@@ -264,54 +287,61 @@ def path_law_atoms(
     trimmed_a = 0.0
     trimmed_logz_mass = 0.0
     for step in range(n):
-        xs, starts = np.unique(states, return_index=True)
-        ends = [*starts[1:].tolist(), len(states)]
+        starts = np.flatnonzero(np.diff(states, prepend=-1))
+        xs = states[starts]
+        bounds = [*starts.tolist(), len(states)]
         eps = policy.tail_budget / (n * len(xs))
         rates_a, rates_h = params.rate_a(xs), params.rate_h(xs)
         # a zero hypothesis rate (extinct NI state) has a zero alternative rate
         cutoffs = _poisson_cutoffs(np.maximum(rates_h, rates_a), eps, policy.max_state)
-        pmf_rows = _poisson_pmf(np.arange(max(cutoffs) + 1), rates_h[:, None])
-        # every expansion as one (next state, atom) block, in state order
-        next_states, next_log_z, next_prob = [], [], []
-        for start, end, rate_a, rate_h, y_max, pmf in zip(
-            starts.tolist(), ends, rates_a.tolist(), rates_h.tolist(), cutoffs, pmf_rows
-        ):
-            log_zs, probs = log_z[start:end], prob[start:end]
-            if rate_h == 0.0:
-                # extinct no-immigration state: next state 0 w.p. 1, factor 1
-                next_states.append(np.zeros(len(probs), dtype=np.int64))
-                next_log_z.append(log_zs)
-                next_prob.append(probs)
-                continue
-            pmf = pmf[: y_max + 1]
-            mass_h = probs.sum()
-            mass_a = float(np.sum(probs * np.exp(log_zs)))
-            sf_a = _poisson_sf(y_max, rate_a)
-            trimmed_h += mass_h * max(1.0 - pmf.sum(), 0.0)
-            trimmed_a += mass_a * sf_a
-            base = -(rate_a - rate_h)
-            log_ratio = math.log(rate_a / rate_h)
+        ys = np.arange(max(cutoffs) + 1)
+        pmf_rows = _poisson_pmf(ys, rates_h[:, None])
+        cut = np.array(cutoffs)
+        sf_a, sf_a1 = _poisson_sf(cut, rates_a).tolist(), _poisson_sf(cut - 1, rates_a).tolist()
+        abs_max = np.maximum.reduceat(np.abs(log_z), starts).tolist()
+        weight_a = prob * np.exp(log_z)
+        bases = -(rates_a - rates_h)
+        rate_list, base_list = rates_a.tolist(), bases.tolist()
+        # 0 on an extinct NI state: next state 0 w.p. 1, factor 1, no trimming
+        log_ratios = [math.log(a / h) if h else 0.0 for a, h in zip(rate_list, rates_h.tolist())]
+        # each state's masses are sums over its own slice: np.add.reduceat
+        # adds a long run in another order, and trimmed_a would move an ulp
+        for i in np.flatnonzero(rates_h).tolist():
+            start, end = bounds[i], bounds[i + 1]
+            mass_h, mass_a = prob[start:end].sum(), float(weight_a[start:end].sum())
+            trimmed_h += mass_h * max(1.0 - pmf_rows[i, : cutoffs[i] + 1].sum(), 0.0)
+            trimmed_a += mass_a * sf_a[i]
             # first trimmed moment of |log Z| under P_A on this expansion,
             # via E[y; y > Y] = rate * sf(Y - 1); later steps are estimated
             # to contribute comparably per remaining generation
-            overshoot = (float(np.abs(log_zs).max()) + abs(base)) * sf_a
-            overshoot += abs(log_ratio) * rate_a * _poisson_sf(y_max - 1, rate_a)
+            overshoot = (abs_max[i] + abs(base_list[i])) * sf_a[i]
+            overshoot += abs(log_ratios[i]) * rate_list[i] * sf_a1[i]
             trimmed_logz_mass += (n - step) * mass_a * overshoot
-            ys = np.arange(y_max + 1)
-            next_states.append(np.repeat(ys, len(probs)))
-            next_log_z.append((log_zs[None, :] + (base + ys * log_ratio)[:, None]).ravel())
-            next_prob.append((probs[None, :] * pmf[:, None]).ravel())
-        states = np.concatenate(next_states)
-        log_z = np.concatenate(next_log_z)
-        prob = np.concatenate(next_prob)
-        # merge atoms with equal state and bitwise-equal log Z; the sort is
-        # stable, so each merged atom sums its parts in state, then atom order
-        order = np.lexsort((log_z, states))
+        # every expansion as one (next state, atom) block, in state order:
+        # parent run r expands into (cutoff + 1) x (run length) children
+        counts = np.diff(bounds)
+        sizes = counts * (cut + 1)
+        parent = np.repeat(np.arange(len(xs)), sizes)
+        offset = np.arange(len(parent)) - (np.cumsum(sizes) - sizes)[parent]
+        child_y, atom = np.divmod(offset, counts[parent])
+        atom += starts[parent]
+        increments = bases[:, None] + ys * np.array(log_ratios)[:, None]
+        states = child_y
+        log_z = log_z[atom] + increments[parent, child_y]
+        prob = prob[atom] * pmf_rows[parent, child_y]
+        del parent, offset, atom  # the sort below is the step's memory peak
+        # merge atoms with equal state and bitwise-equal log Z.  The stable
+        # sort on the complex key (state, log Z) is lexsort's permutation;
+        # each merged atom starts from its first part and adds the others in
+        # state, then atom order
+        key = np.empty(len(states), dtype=np.complex128)
+        key.real, key.imag = states, log_z
+        order = np.argsort(key, kind="stable")
         states, log_z, prob = states[order], log_z[order], prob[order]
         first = np.ones(len(states), dtype=bool)
         first[1:] = (states[1:] != states[:-1]) | (log_z[1:] != log_z[:-1])
-        merged = np.zeros(np.count_nonzero(first))
-        np.add.at(merged, np.cumsum(first) - 1, prob)
+        merged = prob[first]
+        np.add.at(merged, np.cumsum(first)[~first] - 1, prob[~first])
         states, log_z, prob = states[first], log_z[first], merged
     return PathLaw(
         states=states,

@@ -280,6 +280,14 @@ class TestErrors:
         assert out["error"]["kind"] == "invalid-input"
         assert "omega0" in out["error"]["message"]
 
+    def test_verify_omega0_above_state_cap_code(self, capsys):
+        """This once died with an IndexError traceback (exit code 1)."""
+        code, out = run_json(capsys, "verify", "--preset", "a2-example", "--omega0", "6000",
+                             "--n", "1")
+        assert code == 5
+        assert out["error"]["kind"] == "invalid-input"
+        assert "max_state" in out["error"]["message"]
+
     def test_parse_error_exit_code(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["hellinger", "--n", "not-an-int"])

@@ -199,6 +199,52 @@ class TestTruncationPolicy:
             enum_bayes_risk(params, 2, 2, DecisionConfig(), TruncationPolicy(tail_budget=2.0))
 
 
+class TestInitialPopulation:
+    """omega0 must be an integer (not a bool) in [1, max_state]; these inputs
+    once raised IndexError, returned log H > 0 or silently started from
+    int(omega0)."""
+
+    PARAMS = ParamSet(0.5, 0.3, 1.0, 1.2)
+
+    @pytest.mark.parametrize("omega0, match", [
+        (6000, "max_state"), (3.0, "integer"), (True, "integer"), (np.float64(2.0), "integer"),
+        ("2", "integer"), (0, "omega0 >= 1"),
+    ], ids=["6000", "3.0", "True", "np.float64", "str", "0"])
+    def test_enumeration_refuses(self, omega0, match):
+        with pytest.raises(GWIError, match=match):
+            enum_log_hellinger(self.PARAMS, 0.5, omega0, 1)
+        with pytest.raises(GWIError, match=match):
+            path_law_atoms(self.PARAMS, omega0, 1)
+
+    @pytest.mark.parametrize("omega0", [2.5, 3.0, True, np.True_],
+                             ids=["2.5", "3.0", "True", "np.True_"])
+    def test_non_integers_refused_everywhere(self, omega0):
+        with pytest.raises(GWIError, match="integer"):
+            path_law_atoms(self.PARAMS, omega0, 1)
+        with pytest.raises(GWIError, match="integer"):
+            mc_log_hellinger(self.PARAMS, 0.5, omega0, 2, 1000, 1)
+        with pytest.raises(GWIError, match="integer"):
+            enum_log_hellinger_profile(self.PARAMS, 0.5, omega0, 2)
+
+    def test_numpy_integers_accepted(self):
+        for omega0 in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert enum_log_hellinger(self.PARAMS, 0.5, omega0, 2) == \
+                enum_log_hellinger(self.PARAMS, 0.5, 3, 2)
+            assert _law_bytes(path_law_atoms(self.PARAMS, omega0, 2)) == \
+                _law_bytes(path_law_atoms(self.PARAMS, 3, 2))
+            assert mc_log_hellinger(self.PARAMS, 0.5, omega0, 2, 1000, 1) == \
+                mc_log_hellinger(self.PARAMS, 0.5, 3, 2, 1000, 1)
+
+    def test_state_cap_is_inclusive(self):
+        policy = TruncationPolicy(tail_budget=0.3, max_state=60)
+        assert enum_log_hellinger(self.PARAMS, 0.5, 60, 1, policy)[0] < 0.0
+        assert len(path_law_atoms(self.PARAMS, 60, 1, policy).states) > 1
+        with pytest.raises(GWIError, match="max_state"):
+            enum_log_hellinger(self.PARAMS, 0.5, 61, 1, policy)
+        with pytest.raises(GWIError, match="max_state"):
+            path_law_atoms(self.PARAMS, 61, 1, policy)
+
+
 # Reference copies of the oracle's Poisson truncation and enumeration as
 # they stood on scipy.stats.poisson: one scalar isf/pmf/sf call per state
 # and a per-state merge with np.unique.  The oracle must return exactly what
@@ -352,7 +398,24 @@ class TestOracleMatchesScipyStatsReference:
                 lam = float(rng.choice((0.3, 0.5, 0.7)))
                 params = random_params(rng, case, lam, beta_hi=1.0)
                 omega0 = int(rng.integers(1, 4))
-                self._assert_same(params, lam, omega0, 4, 2, TruncationPolicy(tail_budget=budget))
+                n_atoms = 3 if omega0 <= 2 else 2
+                self._assert_same(params, lam, omega0, 4, n_atoms, TruncationPolicy(tail_budget=budget))
+
+    def test_three_step_law_with_long_state_runs(self):
+        """Most states carry more than 8 atoms at the third step, where a
+        state's masses summed in another order than numpy's pairwise sum
+        moves trimmed_a by one ulp."""
+        params = ParamSet(0.7615920487772284, 0.4876350537439173, 0.6979711829270039,
+                          0.4468996437722417)
+        self._assert_same(params, 0.5, 3, 4, 3, TruncationPolicy())
+
+    def test_step_whose_cutoffs_are_all_zero(self):
+        """The 23 live states of the second step all have cutoff 0, so the
+        kernel is a single column: its weights must still be added in state
+        order, not summed pairwise."""
+        params = ParamSet(1e-4, 1.2e-4, 1e-5, 1.5e-5)
+        policy = TruncationPolicy(tail_budget=0.3, max_state=200_000)
+        self._assert_same(params, 0.5, 150_000, 3, 3, policy)
 
     def test_tiny_immigration_reaches_a_zero_cutoff(self):
         """At x = 0 the rates are ~1e-9, so the expansion keeps y = 0 only
