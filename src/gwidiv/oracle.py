@@ -11,6 +11,7 @@ which yields certified two-sided enclosures.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +46,8 @@ class PathLaw:
 
     ``trimmed_h``/``trimmed_a`` are the discarded masses under the two laws;
     ``trimmed_logz_mass`` is the first-overshoot estimate of the discarded
-    |log Z| mass used by the entropy oracle.
+    |log Z| mass used by the entropy oracle.  The three arrays are read-only:
+    ``path_law_atoms`` hands the same law to every caller that asks for it.
     """
 
     states: np.ndarray
@@ -61,18 +63,27 @@ class PathLaw:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Total discarded-mass budget and a hard cap on the state space."""
+    """Total discarded-mass budget, a hard cap on the state space and one on
+    the atoms a path-law step may expand into.
+
+    The atom cap stops an expansion before it allocates: each child atom
+    costs about 100 bytes at the step's peak, so the default allows about
+    1 GB.
+    """
 
     tail_budget: float = 1e-9
     max_state: int = 5000
+    max_atoms: int = 10_000_000
 
     def __post_init__(self) -> None:
-        budget, cap = self.tail_budget, self.max_state
+        budget, cap, atoms = self.tail_budget, self.max_state, self.max_atoms
         # NaN fails both comparisons; a bool is an int but not a budget
         if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not 0.0 < budget < 1.0:
             raise GWIError(f"tail_budget must be a finite number in (0, 1), got {budget!r}")
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 10:
             raise GWIError(f"max_state must be an integer >= 10, got {cap!r}")
+        if isinstance(atoms, bool) or not isinstance(atoms, int) or atoms < 1:
+            raise GWIError(f"max_atoms must be an integer >= 1, got {atoms!r}")
 
 
 # The three Poisson helpers repeat the arithmetic of scipy.stats.poisson's
@@ -128,18 +139,20 @@ def _poisson_cutoffs(rates: np.ndarray, eps: float, max_state: int) -> list[int]
     return out
 
 
-def _initial_population(omega0, n: int, n_min: int, cap: int | None = None) -> int:
-    """omega0 as an int, after checking it is an integer in [1, cap] and n >= n_min.
+def _initial_population(omega0, n, n_min: int, cap: int | None = None) -> tuple[int, int]:
+    """(omega0, n) as ints, after checking both are integers, omega0 lies in
+    [1, cap] and n >= n_min.
 
     Python and numpy integers pass; bools and every other type are refused.
     """
-    if isinstance(omega0, bool) or not isinstance(omega0, (int, np.integer)):
-        raise GWIError(f"omega0 must be an integer, got {omega0!r}")
+    for name, value in (("omega0", omega0), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise GWIError(f"{name} must be an integer, got {value!r}")
     if omega0 < 1 or n < n_min:
         raise GWIError(f"need omega0 >= 1 and n >= {n_min}")
     if cap is not None and omega0 > cap:
         raise GWIError(f"omega0 = {omega0} exceeds the state cap max_state = {cap}")
-    return int(omega0)
+    return int(omega0), int(n)
 
 
 def enum_log_hellinger_profile(
@@ -156,7 +169,7 @@ def enum_log_hellinger_profile(
     """
     lam = validate_order(lam)
     cap = policy.max_state
-    omega0 = _initial_population(omega0, n, 0, cap)
+    omega0, n = _initial_population(omega0, n, 0, cap)
     bl, al = lambda_weights(params, lam)
     # on NI/SP1 phi is affine; phi_eval uses the exact form phi(0) + phi'(0) x
     linear = phi_eval(params, lam, 0.0) if params.gamma == 0.0 else None
@@ -232,7 +245,7 @@ def mc_log_hellinger(
     lam = validate_order(lam)
     if reps < 1000:
         raise GWIError("need reps >= 1000")
-    omega0 = _initial_population(omega0, n, 1)
+    omega0, n = _initial_population(omega0, n, 1)
     scores = np.empty(reps)
     done = 0
     block_index = 0
@@ -276,9 +289,22 @@ def path_law_atoms(
     trimmed hypothesis mass.  Returns a ``PathLaw``: the atoms' states,
     log Z_n and P_H-probabilities (sorted by state, then log Z_n), the two
     trimmed masses and the first-overshoot estimate of the trimmed |log Z|
-    mass used by the entropy oracle.
+    mass used by the entropy oracle.  A step that would expand into more
+    than ``policy.max_atoms`` atoms raises ``GWIError`` before it allocates.
+
+    The arguments are checked on every call.  The law itself sits in a
+    one-entry memo, so ``enum_bayes_risk``, ``enum_np_type2`` and
+    ``enum_relative_entropy`` on the same (params, omega0, n, policy) share
+    one build; its arrays are read-only.
     """
-    omega0 = _initial_population(omega0, n, 1, policy.max_state)
+    omega0, n = _initial_population(omega0, n, 1, policy.max_state)
+    return _path_law(params, omega0, n, policy)
+
+
+@functools.lru_cache(maxsize=1)
+def _path_law(params: ParamSet, omega0: int, n: int, policy: TruncationPolicy) -> PathLaw:
+    """``path_law_atoms`` on checked arguments.  The memo keeps the last law
+    alive until a call with other arguments replaces it."""
     # the atoms, sorted by state and, within a state, by log Z
     states = np.full(1, omega0, dtype=np.int64)
     log_z = np.zeros(1)
@@ -321,6 +347,12 @@ def path_law_atoms(
         # parent run r expands into (cutoff + 1) x (run length) children
         counts = np.diff(bounds)
         sizes = counts * (cut + 1)
+        children = int(sizes.sum())
+        if children > policy.max_atoms:
+            raise GWIError(
+                f"atom blowup (step {step + 1} expands into {children} atoms, cap "
+                f"{policy.max_atoms}); reduce the horizon or loosen the tail budget"
+            )
         parent = np.repeat(np.arange(len(xs)), sizes)
         offset = np.arange(len(parent)) - (np.cumsum(sizes) - sizes)[parent]
         child_y, atom = np.divmod(offset, counts[parent])
@@ -343,6 +375,8 @@ def path_law_atoms(
         merged = prob[first]
         np.add.at(merged, np.cumsum(first)[~first] - 1, prob[~first])
         states, log_z, prob = states[first], log_z[first], merged
+    for array in (states, log_z, prob):
+        array.flags.writeable = False
     return PathLaw(
         states=states,
         log_z=log_z,

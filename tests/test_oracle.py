@@ -21,7 +21,8 @@ from gwidiv import (
     phi_eval,
     varphi_value,
 )
-from gwidiv.oracle import _poisson_cutoffs, _poisson_isf
+from gwidiv import oracle
+from gwidiv.oracle import _path_law, _poisson_cutoffs, _poisson_isf
 
 from conftest import ALL_CASES, random_params
 
@@ -188,8 +189,14 @@ class TestTruncationPolicy:
         with pytest.raises(GWIError, match="max_state"):
             TruncationPolicy(max_state=cap)
 
+    @pytest.mark.parametrize("cap", [0, -5, 10.0, True, "5000", None])
+    def test_rejects_bad_max_atoms(self, cap):
+        with pytest.raises(GWIError, match="max_atoms"):
+            TruncationPolicy(max_atoms=cap)
+
     def test_accepts_valid_policies(self):
         assert TruncationPolicy(tail_budget=0.5, max_state=10).max_state == 10
+        assert TruncationPolicy(max_atoms=1).max_atoms == 1
         assert TruncationPolicy(tail_budget=1e-300).tail_budget == 1e-300
 
     def test_budget_above_one_refused_before_enumeration(self):
@@ -226,13 +233,28 @@ class TestInitialPopulation:
         with pytest.raises(GWIError, match="integer"):
             enum_log_hellinger_profile(self.PARAMS, 0.5, omega0, 2)
 
+    @pytest.mark.parametrize("n", [2.0, 2.5, "2", True, np.True_, np.float64(2.0)],
+                             ids=["2.0", "2.5", "str", "True", "np.True_", "np.float64"])
+    def test_non_integer_horizons_refused_everywhere(self, n):
+        """n = 2.0, 2.5 and "2" once raised TypeError; n = True ran as n = 1."""
+        with pytest.raises(GWIError, match="n must be an integer"):
+            path_law_atoms(self.PARAMS, 2, n)
+        with pytest.raises(GWIError, match="n must be an integer"):
+            mc_log_hellinger(self.PARAMS, 0.5, 2, n, 1000, 1)
+        with pytest.raises(GWIError, match="n must be an integer"):
+            enum_log_hellinger_profile(self.PARAMS, 0.5, 2, n)
+
     def test_numpy_integers_accepted(self):
-        for omega0 in (np.int64(3), np.int32(3), np.uint8(3)):
-            assert enum_log_hellinger(self.PARAMS, 0.5, omega0, 2) == \
+        for omega0, n in ((np.int64(3), 2), (np.int32(3), 2), (np.uint8(3), 2),
+                          (3, np.int64(2)), (3, np.int32(2)), (3, np.uint8(2))):
+            assert enum_log_hellinger(self.PARAMS, 0.5, omega0, n) == \
                 enum_log_hellinger(self.PARAMS, 0.5, 3, 2)
-            assert _law_bytes(path_law_atoms(self.PARAMS, omega0, 2)) == \
-                _law_bytes(path_law_atoms(self.PARAMS, 3, 2))
-            assert mc_log_hellinger(self.PARAMS, 0.5, omega0, 2, 1000, 1) == \
+            # two builds, not one build and a memo hit
+            _path_law.cache_clear()
+            first = _law_bytes(path_law_atoms(self.PARAMS, omega0, n))
+            _path_law.cache_clear()
+            assert first == _law_bytes(path_law_atoms(self.PARAMS, 3, 2))
+            assert mc_log_hellinger(self.PARAMS, 0.5, omega0, n, 1000, 1) == \
                 mc_log_hellinger(self.PARAMS, 0.5, 3, 2, 1000, 1)
 
     def test_state_cap_is_inclusive(self):
@@ -243,6 +265,108 @@ class TestInitialPopulation:
             enum_log_hellinger(self.PARAMS, 0.5, 61, 1, policy)
         with pytest.raises(GWIError, match="max_state"):
             path_law_atoms(self.PARAMS, 61, 1, policy)
+
+
+class TestAtomBudget:
+    PARAMS = ParamSet(0.5, 0.3, 1.0, 1.2)
+
+    def test_cap_is_inclusive(self):
+        """A one-step law keeps every child: its first state's cutoff + 1."""
+        children = len(path_law_atoms(self.PARAMS, 4, 1).states)
+        law = path_law_atoms(self.PARAMS, 4, 1, TruncationPolicy(max_atoms=children))
+        assert len(law.states) == children
+        message = f"step 1 expands into {children} atoms, cap {children - 1}"
+        with pytest.raises(GWIError, match=message):
+            path_law_atoms(self.PARAMS, 4, 1, TruncationPolicy(max_atoms=children - 1))
+
+    def test_later_step_refused(self):
+        """A cap that lets the first of two steps expand (its budget share is
+        half the tail budget) stops the second."""
+        rate = max(self.PARAMS.rate_a(4), self.PARAMS.rate_h(4))
+        first_step = _poisson_cutoffs(np.array([rate]), 1e-9 / 2, 5000)[0] + 1
+        policy = TruncationPolicy(max_atoms=first_step)
+        with pytest.raises(GWIError, match="atom blowup \\(step 2 expands"):
+            path_law_atoms(self.PARAMS, 4, 2, policy)
+
+    def test_refused_before_the_expansion_allocates(self, monkeypatch):
+        """This law keeps 270,798 atoms at n = 3 and once died of MemoryError
+        expanding them into 39,142,535 children at n = 4."""
+        params = ParamSet(0.6710839922526382, 0.9237671579983431, 1.7056241367449219,
+                          2.814383621229387)
+        policy = TruncationPolicy(tail_budget=1e-17)
+        repeat = np.repeat
+
+        def bounded_repeat(a, repeats, *args, **kwargs):
+            assert np.sum(repeats) <= policy.max_atoms, "expansion allocated past the cap"
+            return repeat(a, repeats, *args, **kwargs)
+
+        monkeypatch.setattr(oracle.np, "repeat", bounded_repeat)
+        with pytest.raises(GWIError, match="step 4 expands into 39142535 atoms, cap 10000000"):
+            path_law_atoms(params, 1, 4, policy)
+
+
+class TestPathLawMemo:
+    """The decision oracles share one memoised law per (params, omega0, n,
+    policy); a hit must be the law a fresh build makes."""
+
+    PARAMS = ParamSet(0.7615920487772284, 0.4876350537439173, 0.6979711829270039,
+                      0.4468996437722417)
+    POLICY = TruncationPolicy()
+
+    def test_hit_is_bit_identical_to_a_fresh_build(self):
+        _path_law.cache_clear()
+        built = path_law_atoms(self.PARAMS, 3, 3)
+        hit = path_law_atoms(self.PARAMS, 3, 3)
+        assert hit is built
+        assert _path_law.cache_info().hits == 1
+        _path_law.cache_clear()
+        rebuilt = path_law_atoms(self.PARAMS, 3, 3)
+        assert rebuilt is not hit
+        assert _law_bytes(hit) == _law_bytes(rebuilt)
+        assert _law_bytes(hit) == _law_bytes(_ref_path_law_atoms(self.PARAMS, 3, 3, self.POLICY))
+
+    def test_one_build_per_decision_query(self):
+        _path_law.cache_clear()
+        enum_bayes_risk(self.PARAMS, 3, 3, DecisionConfig())
+        enum_np_type2(self.PARAMS, 3, 3, 0.05)
+        enum_relative_entropy(self.PARAMS, 3, 3, self.POLICY)
+        info = _path_law.cache_info()
+        assert (info.misses, info.hits, info.maxsize, info.currsize) == (1, 2, 1, 1)
+
+    def test_arrays_are_read_only(self):
+        law = path_law_atoms(self.PARAMS, 3, 2)
+        for array in (law.states, law.log_z, law.prob_h):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("changed", [
+        dict(params=ParamSet(0.7615920487772284, 0.4876350537439173, 0.6979711829270039, 0.45)),
+        dict(omega0=2), dict(n=2), dict(policy=TruncationPolicy(tail_budget=1e-6)),
+    ], ids=["params", "omega0", "n", "policy"])
+    def test_any_changed_argument_misses(self, changed):
+        base = dict(params=self.PARAMS, omega0=3, n=3, policy=self.POLICY)
+        other = {**base, **changed}
+        _path_law.cache_clear()
+        first = path_law_atoms(**base)
+        law = path_law_atoms(**other)
+        info = _path_law.cache_info()
+        assert (info.misses, info.hits) == (2, 0)
+        assert law is not first
+        _path_law.cache_clear()
+        assert _law_bytes(law) == _law_bytes(path_law_atoms(**other))
+
+    def test_refused_inputs_raise_on_every_call(self):
+        """True == 1 == 1.0 as memo keys, so a hit on a filled memo would
+        answer them if the checks ran only on a miss."""
+        path_law_atoms(self.PARAMS, 1, 1)
+        for omega0, n in ((True, 1), (1, True), (1.0, 1), (1, 1.0), (0, 1), (1, 0)):
+            for _ in range(2):
+                with pytest.raises(GWIError):
+                    path_law_atoms(self.PARAMS, omega0, n)
+        blowup = (ParamSet(1.2, 0.8, 2, 2), 3, 3, TruncationPolicy(max_state=30))
+        for _ in range(2):
+            with pytest.raises(GWIError, match="state-space blowup"):
+                path_law_atoms(*blowup)
 
 
 # Reference copies of the oracle's Poisson truncation and enumeration as
