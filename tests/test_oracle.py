@@ -329,7 +329,7 @@ class TestPathLawMemo:
         _path_law.cache_clear()
         enum_bayes_risk(self.PARAMS, 3, 3, DecisionConfig())
         enum_np_type2(self.PARAMS, 3, 3, 0.05)
-        enum_relative_entropy(self.PARAMS, 3, 3, self.POLICY)
+        enum_relative_entropy(self.PARAMS, 3, 3)
         info = _path_law.cache_info()
         assert (info.misses, info.hits, info.maxsize, info.currsize) == (1, 2, 1, 1)
 
