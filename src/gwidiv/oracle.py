@@ -39,6 +39,10 @@ _MC_BLOCK = 100_000
 #: relative cushion added to certified errors against float summation rounding
 _ROUNDING_CUSHION = 1e-12
 
+#: most atoms one path-law step may expand into, checked before the expansion
+#: allocates: a child costs about 100 bytes at the step's peak, so about 1 GB
+_MAX_ATOMS = 10_000_000
+
 
 @dataclass(frozen=True)
 class PathLaw:
@@ -63,27 +67,18 @@ class PathLaw:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Total discarded-mass budget, a hard cap on the state space and one on
-    the atoms a path-law step may expand into.
-
-    The atom cap stops an expansion before it allocates: each child atom
-    costs about 100 bytes at the step's peak, so the default allows about
-    1 GB.
-    """
+    """Total discarded-mass budget and a hard cap on the state space."""
 
     tail_budget: float = 1e-9
     max_state: int = 5000
-    max_atoms: int = 10_000_000
 
     def __post_init__(self) -> None:
-        budget, cap, atoms = self.tail_budget, self.max_state, self.max_atoms
+        budget, cap = self.tail_budget, self.max_state
         # NaN fails both comparisons; a bool is an int but not a budget
         if isinstance(budget, bool) or not isinstance(budget, (int, float)) or not 0.0 < budget < 1.0:
             raise GWIError(f"tail_budget must be a finite number in (0, 1), got {budget!r}")
         if isinstance(cap, bool) or not isinstance(cap, int) or cap < 10:
             raise GWIError(f"max_state must be an integer >= 10, got {cap!r}")
-        if isinstance(atoms, bool) or not isinstance(atoms, int) or atoms < 1:
-            raise GWIError(f"max_atoms must be an integer >= 1, got {atoms!r}")
 
 
 # The three Poisson helpers repeat the arithmetic of scipy.stats.poisson's
@@ -290,12 +285,15 @@ def path_law_atoms(
     log Z_n and P_H-probabilities (sorted by state, then log Z_n), the two
     trimmed masses and the first-overshoot estimate of the trimmed |log Z|
     mass used by the entropy oracle.  A step that would expand into more
-    than ``policy.max_atoms`` atoms raises ``GWIError`` before it allocates.
+    than 10,000,000 atoms raises ``GWIError`` before it allocates.
 
     The arguments are checked on every call.  The law itself sits in a
     one-entry memo, so ``enum_bayes_risk``, ``enum_np_type2`` and
     ``enum_relative_entropy`` on the same (params, omega0, n, policy) share
-    one build; its arrays are read-only.
+    one build; its arrays are read-only.  The memo holds the last law (24
+    bytes per atom) after the call returns, and a call with other arguments
+    keeps it alive until its own build finishes: that build's peak grows by
+    the previous law's size, at most 240 MB on top of the step's 1 GB.
     """
     omega0, n = _initial_population(omega0, n, 1, policy.max_state)
     return _path_law(params, omega0, n, policy)
@@ -348,10 +346,10 @@ def _path_law(params: ParamSet, omega0: int, n: int, policy: TruncationPolicy) -
         counts = np.diff(bounds)
         sizes = counts * (cut + 1)
         children = int(sizes.sum())
-        if children > policy.max_atoms:
+        if children > _MAX_ATOMS:
             raise GWIError(
                 f"atom blowup (step {step + 1} expands into {children} atoms, cap "
-                f"{policy.max_atoms}); reduce the horizon or loosen the tail budget"
+                f"{_MAX_ATOMS}); reduce the horizon or loosen the tail budget"
             )
         parent = np.repeat(np.arange(len(xs)), sizes)
         offset = np.arange(len(parent)) - (np.cumsum(sizes) - sizes)[parent]

@@ -189,14 +189,8 @@ class TestTruncationPolicy:
         with pytest.raises(GWIError, match="max_state"):
             TruncationPolicy(max_state=cap)
 
-    @pytest.mark.parametrize("cap", [0, -5, 10.0, True, "5000", None])
-    def test_rejects_bad_max_atoms(self, cap):
-        with pytest.raises(GWIError, match="max_atoms"):
-            TruncationPolicy(max_atoms=cap)
-
     def test_accepts_valid_policies(self):
         assert TruncationPolicy(tail_budget=0.5, max_state=10).max_state == 10
-        assert TruncationPolicy(max_atoms=1).max_atoms == 1
         assert TruncationPolicy(tail_budget=1e-300).tail_budget == 1e-300
 
     def test_budget_above_one_refused_before_enumeration(self):
@@ -268,25 +262,32 @@ class TestInitialPopulation:
 
 
 class TestAtomBudget:
+    """The cap is a module constant; these tests lower it on small laws and
+    empty the memo first, so each call builds under the lowered cap."""
+
     PARAMS = ParamSet(0.5, 0.3, 1.0, 1.2)
 
-    def test_cap_is_inclusive(self):
+    def test_cap_is_inclusive(self, monkeypatch):
         """A one-step law keeps every child: its first state's cutoff + 1."""
         children = len(path_law_atoms(self.PARAMS, 4, 1).states)
-        law = path_law_atoms(self.PARAMS, 4, 1, TruncationPolicy(max_atoms=children))
-        assert len(law.states) == children
+        monkeypatch.setattr(oracle, "_MAX_ATOMS", children)
+        _path_law.cache_clear()
+        assert len(path_law_atoms(self.PARAMS, 4, 1).states) == children
+        monkeypatch.setattr(oracle, "_MAX_ATOMS", children - 1)
+        _path_law.cache_clear()
         message = f"step 1 expands into {children} atoms, cap {children - 1}"
         with pytest.raises(GWIError, match=message):
-            path_law_atoms(self.PARAMS, 4, 1, TruncationPolicy(max_atoms=children - 1))
+            path_law_atoms(self.PARAMS, 4, 1)
 
-    def test_later_step_refused(self):
+    def test_later_step_refused(self, monkeypatch):
         """A cap that lets the first of two steps expand (its budget share is
         half the tail budget) stops the second."""
         rate = max(self.PARAMS.rate_a(4), self.PARAMS.rate_h(4))
         first_step = _poisson_cutoffs(np.array([rate]), 1e-9 / 2, 5000)[0] + 1
-        policy = TruncationPolicy(max_atoms=first_step)
+        monkeypatch.setattr(oracle, "_MAX_ATOMS", first_step)
+        _path_law.cache_clear()
         with pytest.raises(GWIError, match="atom blowup \\(step 2 expands"):
-            path_law_atoms(self.PARAMS, 4, 2, policy)
+            path_law_atoms(self.PARAMS, 4, 2)
 
     def test_refused_before_the_expansion_allocates(self, monkeypatch):
         """This law keeps 270,798 atoms at n = 3 and once died of MemoryError
@@ -297,7 +298,7 @@ class TestAtomBudget:
         repeat = np.repeat
 
         def bounded_repeat(a, repeats, *args, **kwargs):
-            assert np.sum(repeats) <= policy.max_atoms, "expansion allocated past the cap"
+            assert np.sum(repeats) <= oracle._MAX_ATOMS, "expansion allocated past the cap"
             return repeat(a, repeats, *args, **kwargs)
 
         monkeypatch.setattr(oracle.np, "repeat", bounded_repeat)
