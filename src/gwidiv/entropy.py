@@ -205,7 +205,7 @@ def _stationary_point(params: ParamSet) -> float:
     Needs beta_a != beta_h.
     """
     ba, bh, aa, ah = params.beta_a, params.beta_h, params.alpha_a, params.alpha_h
-    x_star = (ah - aa) / (ba - bh)
+    x_star = params.x_star
     if ba * x_star + aa > 0.0:
         return x_star
     c = bh / ba
@@ -312,8 +312,7 @@ def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
     tan_at_ystar = dtan = None
     degenerate = False
     if case is CaseTag.SP3D:
-        y_star = (params.alpha_a - params.alpha_h) / (params.beta_h - params.beta_a)
-        tan_at_ystar = integrated(_tangent_line(params, y_star))
+        tan_at_ystar = integrated(_tangent_line(params, params.x_star))
         dtan = tangent_derivative_at_ystar(params, omega0, n)
         degenerate = bool(abs(dtan) <= 1e-10 * max(1.0, abs(n)))
 

@@ -125,6 +125,12 @@ class ParamSet:
         return self.alpha_h * self.beta_a - self.alpha_a * self.beta_h
 
     @property
+    def x_star(self) -> float:
+        """x* = (alpha_h - alpha_a)/(beta_a - beta_h), where the two rates
+        cross; needs beta_a != beta_h."""
+        return (self.alpha_h - self.alpha_a) / (self.beta_a - self.beta_h)
+
+    @property
     def no_immigration(self) -> bool:
         return self.alpha_a == 0.0 and self.alpha_h == 0.0
 
@@ -198,7 +204,7 @@ def classify(params: ParamSet, lam: float) -> CaseTag:
         return CaseTag.SP2
     if abs(params.alpha_a / params.alpha_h - params.beta_a / params.beta_h) <= RATIO_TOL:
         return CaseTag.SP1
-    x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
+    x_star = params.x_star
     if x_star < 0.0:
         return CaseTag.SP3A if phi0_prime(params, lam) <= 0.0 else CaseTag.SP3B
     nearest = round(x_star)
@@ -212,7 +218,7 @@ def case_details(params: ParamSet, lam: float) -> dict:
     tag = classify(params, lam)
     details: dict = {"case": tag.value}
     if not params.no_immigration and params.beta_a != params.beta_h:
-        x_star = (params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h)
+        x_star = params.x_star
         details["x_star"] = x_star
         if tag is CaseTag.SP3D:
             details["x_star"] = round(x_star)

@@ -151,15 +151,15 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
 
 
 def _floor_x_max(params: ParamSet, lam: float) -> int:
-    """floor of the positive root of phi'(x) = 0 for hump-shaped phi (SP3b).
+    """floor of the maximizer of the concave phi on [0, inf): 0 when
+    phi'(0) <= 0, else of the positive root of phi'(x) = 0 (SP3b).
 
     Bisection; it stops once floor(lo) == floor(hi), since every later
     midpoint stays inside [lo, hi] and the floor is then fixed.
     """
-    lo, f_lo = 0.0, phi_eval(params, lam, 0.0).phi_prime
-    if f_lo <= 0.0:
-        raise GWIError("phi is not increasing at 0; no interior maximum to find")
-    hi = 1.0
+    if phi_eval(params, lam, 0.0).phi_prime <= 0.0:
+        return 0
+    lo, hi = 0.0, 1.0
     while phi_eval(params, lam, hi).phi_prime > 0.0:
         lo = hi
         hi *= 2.0
@@ -182,6 +182,8 @@ class Constellation:
     beta_lambda)), role EXACT on NI/SP1 and LOWER elsewhere; the clamp keeps
     weighted AM-GM where the float geometric mean rounds above the weight.
     Majorants of phi are built, and checked on the lattice, on first use.
+    The SP3b/SP3c case pair and the horizontal pair read one lattice peak,
+    ``_peak``, found once per instance.
     """
 
     def __init__(self, params: ParamSet, lam: float) -> None:
@@ -260,24 +262,26 @@ class Constellation:
             yield phi, varphi
             x += 1.0
 
+    @cached_property
+    def _peak(self) -> tuple[int, float, float]:
+        """(j, phi(j), phi(j+1)), j the floor of phi's continuous maximizer:
+        floor(x*) on SP3c, where the rates cross, and ``_floor_x_max``
+        otherwise.  By concavity phi's lattice maximum is phi(j) or phi(j+1).
+        """
+        params, lam = self.params, self.lam
+        j = math.floor(params.x_star) if self.case is CaseTag.SP3C else _floor_x_max(params, lam)
+        return j, phi_eval(params, lam, float(j)).phi, phi_eval(params, lam, float(j + 1)).phi
+
     def _secant_construction(self) -> CoefficientPair:
         """Canonical upper pair for hump-shaped phi (SP3b, SP3c).
 
-        The crucial lattice points are j, j+1 around the continuous maximizer.
-        The secant through them majorizes phi outside [j, j+1] by concavity; if
-        its intercept is positive, the flatter line through (0, 0) and
-        (j, phi(j)) is used instead.
+        The crucial lattice points are j, j+1 of ``_peak`` (j+1, j+2 when
+        phi(j) <= phi(j+1)).  The secant through them majorizes phi outside
+        that interval by concavity; if its intercept is positive, the flatter
+        line through (0, 0) and (j, phi(j)) is used instead.
         """
         params, lam, (bl, al) = self.params, self.lam, self.weights
-        if self.case is CaseTag.SP3C:
-            j = math.floor((params.alpha_h - params.alpha_a) / (params.beta_a - params.beta_h))
-        elif phi_eval(params, lam, 0.0).phi_prime <= 0.0:
-            # SP3a/SP3b boundary within float noise: the maximum sits at 0
-            j = 0
-        else:
-            j = _floor_x_max(params, lam)
-        phi_j = phi_eval(params, lam, float(j)).phi
-        phi_j1 = phi_eval(params, lam, float(j + 1)).phi
+        j, phi_j, phi_j1 = self._peak
         if phi_j <= phi_j1:
             j += 1
             phi_j, phi_j1 = phi_j1, phi_eval(params, lam, float(j + 1)).phi
@@ -293,20 +297,10 @@ class Constellation:
         return CoefficientPair(p=r + al, q=s + bl, role=CoeffRole.UPPER, label=label)
 
     def _horizontal(self) -> CoefficientPair:
-        """The checked horizontal line through phi's lattice maximum z*.
-
-        phi is strictly concave off NI/SP1 and eventually decreasing when
-        beta_a != beta_h, so its first non-increase marks z* (ties toward
-        the smaller point).
-        """
-        scan = self._lattice()
-        top, _ = next(scan)
-        for z, (phi, _) in enumerate(scan):
-            if phi <= top:
-                break
-            top = phi
-            if z >= 10**7:  # unreachable for valid constellations
-                raise GWIError("lattice argmax scan did not terminate")
+        """The checked horizontal line through phi's lattice maximum: the
+        point z* of ``_peak`` with the larger value, j on a tie."""
+        j, phi_j, phi_j1 = self._peak
+        z, top = (j, phi_j) if phi_j >= phi_j1 else (j + 1, phi_j1)
         bl, al = self.weights
         return self._require_majorant(CoefficientPair(
             p=top + al, q=bl, role=CoeffRole.HORIZONTAL, label=f"horizontal(z*={z})"))

@@ -395,8 +395,9 @@ def _sp3d(rng, lam, gap):
 
 
 #: flat humps where phi's first float non-increase comes before the
-#: continuous maximizer's floor: the case pair keeps that floor (SP3b) or
-#: floor(x*) (SP3c), while the horizontal pair reports the float argmax
+#: continuous maximizer's floor (4400 against 4403, 13925 against 13952); the
+#: case pair and the horizontal pair both sit at that floor (SP3b) or at
+#: floor(x*) (SP3c), or one point further right
 FLAT_HUMPS = [
     (ParamSet(1.4128184515088393, 1.4130391457726639, 1.5082431015426703, 2.4806306341807254),
      0.2534580531603983, "secant(4404,4405)"),
@@ -438,6 +439,13 @@ class TestLatticeScansMatchReference:
         params, lam, _ = FLAT_HUMPS[0]
         assert _floor_x_max(params, lam) == math.floor(_ref_solve_x_max(params, lam)) == 4403
 
+    def test_floor_x_max_is_zero_without_an_interior_maximum(self, rng):
+        """phi'(0) <= 0 (SP3a): phi falls from 0 on, so its maximizer is 0."""
+        for lam in self.LAMS:
+            params = random_params(rng, "SP3a", lam)
+            assert phi_eval(params, lam, 0.0).phi_prime <= 0.0
+            assert _floor_x_max(params, lam) == 0
+
     def test_lattice_argmax(self, rng):
         """The horizontal pair sits at the lattice argmax of phi."""
         for case in ("SP3a", "SP3b", "SP3c"):
@@ -445,10 +453,35 @@ class TestLatticeScansMatchReference:
                 params = random_params(rng, case, lam)
                 horizontal = Constellation(params, lam).uppers[-1]
                 assert horizontal.label == f"horizontal(z*={_ref_lattice_argmax_phi(params, lam)})"
-        for params, lam, case_label in FLAT_HUMPS:
-            case_pair, _, horizontal = Constellation(params, lam).uppers
-            assert case_pair.label == case_label
-            assert horizontal.label == f"horizontal(z*={_ref_lattice_argmax_phi(params, lam)})"
+
+    @pytest.mark.parametrize("params, lam, case_label", FLAT_HUMPS)
+    def test_flat_hump_horizontal_is_above_the_lattice_maximum(self, params, lam, case_label):
+        """On a flat hump the float phi stops rising before its true lattice
+        maximum; the horizontal line must still reach that maximum, taken at
+        50 digits, up to the rounding of the float varphi: exp of an argument
+        near 10 carries a relative error of a few eps, so 8 eps * varphi(z*).
+        A walk to the first float non-increase of phi passes 3.4e-10 below it
+        on the second hump."""
+        import mpmath
+
+        case_pair, _, horizontal = Constellation(params, lam).uppers
+        assert case_pair.label == case_label
+        _, al = lambda_weights(params, lam)
+        z = int(horizontal.label.removeprefix("horizontal(z*=").removesuffix(")"))
+        with mpmath.workdps(50):
+            lam_m = mpmath.mpf(lam)
+
+            def phi(x):
+                fa = mpmath.mpf(params.beta_a) * x + mpmath.mpf(params.alpha_a)
+                fh = mpmath.mpf(params.beta_h) * x + mpmath.mpf(params.alpha_h)
+                return fa**lam_m * fh ** (1 - lam_m) - (lam_m * fa + (1 - lam_m) * fh)
+
+            values = {x: phi(x) for x in range(z - 50, z + 51)}
+            argmax = max(values, key=values.get)
+            # phi is concave: a maximum inside the window is the lattice maximum
+            assert z - 50 < argmax < z + 50
+            allowance = 8 * 2.0**-52 * varphi_value(params, lam, float(z))
+            assert horizontal.p - al >= values[argmax] - allowance
 
     def test_majorant_check(self, rng):
         """Valid candidates pass both checks; lowered ones fail both, alike."""
@@ -481,6 +514,20 @@ class TestLatticeScansMatchReference:
 
 class TestDerivedOnce:
     """A Constellation classifies once and builds only the pairs asked for."""
+
+    def test_one_peak_for_the_case_pair_and_the_horizontal(self, rng, monkeypatch):
+        """On SP3b ``upper`` and ``uppers`` share one ``_peak``: one bisection."""
+        calls = []
+        real = recursions._floor_x_max
+        monkeypatch.setattr(recursions, "_floor_x_max", lambda *a: calls.append(a) or real(*a))
+        for params, lam in ((random_params(rng, "SP3b"), 0.5), FLAT_HUMPS[0][:2]):
+            calls.clear()
+            c = Constellation(params, lam)
+            c.upper
+            peak = c._peak
+            c.uppers
+            assert c._peak is peak
+            assert len(calls) == 1, params
 
     def test_one_classify_per_recursive_bound(self, rng, monkeypatch):
         points = [(random_params(rng, case), 0.5)
