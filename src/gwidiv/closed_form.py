@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .fixed_point import FixedPointResult, solve_fixed_point
-from .params import CaseError, CaseTag, GWIError, ParamSet, lambda_weights
+from .params import CaseError, CaseTag, GWIError, ParamSet, _initial_population, lambda_weights
 from .recursions import CoefficientPair, Constellation
 
 __all__ = [
@@ -80,8 +80,7 @@ def closed_form_lower_terms(
 ) -> ClosedFormTerms:
     """Terms of log C^L_n from the tangent linearization at the fixed point."""
     c = Constellation(params, lam)
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
+    omega0, n = _initial_population(omega0, n, 1)
     (bl, al), pair = c.weights, c.star
     fp = _solve_for_pair(pair, bl)
     x0 = fp.x0_under if explicit else fp.x0
@@ -129,8 +128,7 @@ def closed_form_upper_terms(
 ) -> ClosedFormTerms:
     """Terms of log C^G_n from the secant linearization through the fixed point."""
     c = Constellation(params, lam)
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
+    omega0, n = _initial_population(omega0, n, 1)
     if c.case in (CaseTag.SP3D, CaseTag.SP4):
         raise CaseError(
             f"no closed-form upper bound on {c.case.value}; only the trivial bound applies"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .closed_form import closed_form_log_lower, closed_form_log_upper
-from .params import AdmissibilityError, GWIError, ParamSet, validate_order
+from .params import AdmissibilityError, GWIError, ParamSet, _initial_population, validate_order
 
 __all__ = [
     "SDEParams",
@@ -126,10 +126,8 @@ def prelimit_log_bounds(
     empty horizon gives the trivial (0, 0) (the laws coincide).
     """
     lam = validate_order(lam)
-    if x0_count < 1:
-        raise GWIError("initial population x0_count must be >= 1")
     params = approx_params(sde, m)
-    n = time_horizon(sde, m, t)
+    x0_count, n = _initial_population(x0_count, time_horizon(sde, m, t), 0)
     if n == 0:
         return 0.0, 0.0
     return (

@@ -23,7 +23,7 @@ from typing import Optional
 
 from scipy.special import lambertw
 
-from .params import CaseError, CaseTag, GWIError, ParamSet, classify
+from .params import CaseError, CaseTag, GWIError, ParamSet, _initial_population, classify
 
 __all__ = [
     "EntropyReport",
@@ -50,8 +50,7 @@ def _occupation(params: ParamSet, omega0: int, n: int) -> float:
     H = (G - n)/d lose at most a few bits.  This is the only place where the
     distance of beta_a from 1 matters.
     """
-    if omega0 < 1 or n < 1:
-        raise GWIError("need omega0 >= 1 and n >= 1")
+    omega0, n = _initial_population(omega0, n, 1)
     d = params.beta_a - 1.0
     if abs(n * d) < 0.5:
         g_term, h_term = float(n), 0.5 * n * (n - 1)

@@ -19,7 +19,8 @@ import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .decisions import DecisionConfig
-from .params import GWIError, ParamSet, lambda_weights, phi_eval, validate_order, varphi_value
+from .params import (GWIError, ParamSet, _initial_population, _integer, lambda_weights, phi_eval,
+                     validate_order, varphi_value)
 
 __all__ = [
     "PathLaw",
@@ -134,22 +135,6 @@ def _poisson_cutoffs(rates: np.ndarray, eps: float, max_state: int) -> list[int]
     return out
 
 
-def _initial_population(omega0, n, n_min: int, cap: int | None = None) -> tuple[int, int]:
-    """(omega0, n) as ints, after checking both are integers, omega0 lies in
-    [1, cap] and n >= n_min.
-
-    Python and numpy integers pass; bools and every other type are refused.
-    """
-    for name, value in (("omega0", omega0), ("n", n)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise GWIError(f"{name} must be an integer, got {value!r}")
-    if omega0 < 1 or n < n_min:
-        raise GWIError(f"need omega0 >= 1 and n >= {n_min}")
-    if cap is not None and omega0 > cap:
-        raise GWIError(f"omega0 = {omega0} exceeds the state cap max_state = {cap}")
-    return int(omega0), int(n)
-
-
 def enum_log_hellinger_profile(
     params: ParamSet,
     lam: float,
@@ -238,15 +223,19 @@ def mc_log_hellinger(
     below the enumerated -0.6938.
     """
     lam = validate_order(lam)
+    reps, seed = _integer("reps", reps), _integer("seed", seed)
     if reps < 1000:
         raise GWIError("need reps >= 1000")
+    if not 0 <= seed < 2**64:
+        raise GWIError(f"seed must lie in [0, 2**64), got {seed}")
     omega0, n = _initial_population(omega0, n, 1)
     scores = np.empty(reps)
     done = 0
     block_index = 0
     while done < reps:
         size = min(_MC_BLOCK, reps - done)
-        rng = np.random.Generator(np.random.Philox(key=[seed, block_index]))
+        key = np.array([seed, block_index], dtype=np.uint64)  # a list casts seeds >= 2**63 via float
+        rng = np.random.Generator(np.random.Philox(key=key))
         state = np.full(size, omega0, dtype=np.int64)
         log_z = np.zeros(size)
         for _ in range(n):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -73,6 +74,31 @@ class CaseTag(enum.Enum):
     @property
     def exactly_computable(self) -> bool:
         return self in (CaseTag.NI, CaseTag.SP1)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int.  Python ints and every other ``numbers.Integral``
+    (numpy integers among them) pass; bools and every other type are refused.
+    """
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise GWIError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _initial_population(omega0, n, n_min: int, cap: int | None = None) -> tuple[int, int]:
+    """(omega0, n) as ints, after checking both are integers, omega0 lies in
+    [1, cap] and n >= n_min.  Every layer that takes an initial population
+    and a horizon checks them here.
+    """
+    if type(omega0) is not int or type(n) is not int:
+        omega0, n = _integer("omega0", omega0), _integer("n", n)
+    if omega0 < 1 or n < n_min:
+        raise GWIError(f"need omega0 >= 1 and n >= {n_min}")
+    if cap is not None and omega0 > cap:
+        raise GWIError(f"omega0 = {omega0} exceeds the state cap max_state = {cap}")
+    return omega0, n
 
 
 def validate_order(lam: float) -> float:

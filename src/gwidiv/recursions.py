@@ -25,6 +25,7 @@ from .params import (
     GWIError,
     ParamSet,
     _geometric_mean,
+    _initial_population,
     classify,
     lambda_weights,
     phi_eval,
@@ -54,7 +55,9 @@ _HUMP_CASES = (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C)
 
 _EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
 
-_OMEGA0 = "initial population omega0 must be >= 1"
+#: rounding allowance of the report's order check log_lower <= log_upper:
+#: this share of max(1, |log_lower|, |log_upper|), as in perfbench/checks.py
+_ORDER_ALLOWANCE = 1e-12
 
 
 class CoeffRole(enum.Enum):
@@ -239,8 +242,8 @@ class Constellation:
             pairs.append(self._horizontal())
         return tuple(pairs)
 
-    def _lattice(self) -> Iterator[tuple[float, float]]:
-        """Yield (phi(x), varphi(x)) for x = 0, 1, 2, ... without end.
+    def _lattice(self, start: int = 0) -> Iterator[tuple[float, float]]:
+        """Yield (phi(x), varphi(x)) for x = start, start + 1, ... without end.
 
         The arithmetic is exactly that of :func:`phi_eval` and
         :func:`varphi_value`, so every value is bit-identical to theirs.
@@ -250,7 +253,7 @@ class Constellation:
                                             params.alpha_a, params.alpha_h)
         lam_h, linear = 1.0 - lam, params.gamma == 0.0
         p_lin, q_lin = self.star.p - al, self.star.q - bl
-        x = 0.0
+        x = float(start)
         while True:
             fa = beta_a * x + alpha_a
             fh = beta_h * x + alpha_h
@@ -270,7 +273,8 @@ class Constellation:
         """
         params, lam = self.params, self.lam
         j = math.floor(params.x_star) if self.case is CaseTag.SP3C else _floor_x_max(params, lam)
-        return j, phi_eval(params, lam, float(j)).phi, phi_eval(params, lam, float(j + 1)).phi
+        scan = self._lattice(j)
+        return j, next(scan)[0], next(scan)[0]
 
     def _secant_construction(self) -> CoefficientPair:
         """Canonical upper pair for hump-shaped phi (SP3b, SP3c).
@@ -406,6 +410,9 @@ class LogBoundReport:
     def __post_init__(self) -> None:
         if self.log_upper > 0.0:
             raise GWIError("log_upper must be <= 0 (H <= 1)")
+        lo, hi = self.log_lower, self.log_upper
+        if lo > hi and lo > hi + _ORDER_ALLOWANCE * max(1.0, abs(lo), abs(hi)):
+            raise GWIError(f"log_lower {self.log_lower!r} exceeds log_upper {self.log_upper!r}")
         if self.log_exact is not None:
             if not self.log_lower <= self.log_exact <= self.log_upper:
                 raise GWIError("exact value must lie between the bounds")
@@ -418,10 +425,7 @@ def _log_end(pair: CoefficientPair, c: Constellation, omega0: int, n: int) -> fl
 
 
 def _exact(c: Constellation, omega0: int, n: int) -> float:
-    if omega0 < 1:
-        raise GWIError(_OMEGA0)
-    if n < 0:
-        raise GWIError("horizon n must be >= 0")
+    """The exact log value on checked arguments (n >= 0)."""
     if n == 0:
         return 0.0
     trace = run_recursion(c.star.p, c.star.q, c.params, c.lam, n)
@@ -429,10 +433,7 @@ def _exact(c: Constellation, omega0: int, n: int) -> float:
 
 
 def _bounds(c: Constellation, omega0: int, n: int) -> LogBoundReport:
-    if n < 1:
-        raise GWIError("horizon n must be >= 1 for bounds")
-    if omega0 < 1:
-        raise GWIError(_OMEGA0)
+    """The bound report on checked arguments (n >= 1)."""
     log_lower = _log_end(c.star, c, omega0, n)
     best_upper, best_label = 0.0, "cutoff(1)"
     for pair in c.uppers:
@@ -458,7 +459,7 @@ def exact_log_hellinger(params: ParamSet, lam: float, omega0: int, n: int) -> fl
     if not c.case.exactly_computable:
         raise CaseError(f"exact values only exist on NI/SP1 (got {c.case.value}); "
                         "use recursive_log_bounds")
-    return _exact(c, omega0, n)
+    return _exact(c, *_initial_population(omega0, n, 0))
 
 
 def sp3d_log_delta(params: ParamSet, lam: float) -> float:
@@ -477,7 +478,7 @@ def recursive_log_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     c = Constellation(params, lam)
     if c.case.exactly_computable:
         raise CaseError(f"case {c.case.value} admits exact values; use exact_log_hellinger")
-    return _bounds(c, omega0, n)
+    return _bounds(c, *_initial_population(omega0, n, 1))
 
 
 def log_hellinger_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> LogBoundReport:
@@ -487,8 +488,7 @@ def log_hellinger_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     laws coincide, H_0 = 1); omega0 must still be >= 1.
     """
     c = Constellation(params, lam)
-    if omega0 < 1:
-        raise GWIError(_OMEGA0)
+    omega0, n = _initial_population(omega0, n, 0)
     if n == 0:
         return LogBoundReport(log_lower=0.0, log_upper=0.0, log_exact=0.0, method="horizon-0",
                               case=c.case)

@@ -7,10 +7,19 @@ from gwidiv import (
     CaseTag,
     GWIError,
     ParamSet,
+    SDEParams,
     classify,
+    closed_form_log_lower,
+    closed_form_log_upper,
+    entropy_report,
+    enum_log_hellinger,
+    exact_log_hellinger,
     lambda_weights,
     geometric_mean_gap,
+    log_hellinger_bounds,
     phi_eval,
+    prelimit_log_bounds,
+    recursive_log_bounds,
     varphi_value,
 )
 from gwidiv.params import case_details, phi0_prime
@@ -192,3 +201,47 @@ def test_lambda_weights_are_convex_combinations(rng):
         assert min(params.beta_a, params.beta_h) - tol <= bl <= max(params.beta_a, params.beta_h) + tol
         assert min(params.alpha_a, params.alpha_h) - tol <= al <= max(params.alpha_a, params.alpha_h) + tol
         assert bl > 0 and al >= 0
+
+
+class TestInitialPopulationEveryLayer:
+    """Every layer that takes (omega0, n) checks them with one rule: integers
+    (numpy integers too, bools not), omega0 >= 1 and n at least the layer's
+    minimum.  The marked inputs once returned a number without error."""
+
+    PARAMS = ParamSet(0.8, 0.6, 2.0, 1.1)  # SP3b: every layer covers it
+    SDE = SDEParams(eta=0.5, kappa_a=0.8, kappa_h=1.2, sigma=1.0, x0_tilde=1.0)
+
+    def layers(self):
+        p = self.PARAMS
+        return {
+            "log_hellinger_bounds": lambda w, n: log_hellinger_bounds(p, 0.5, w, n),
+            "recursive_log_bounds": lambda w, n: recursive_log_bounds(p, 0.5, w, n),
+            "exact_log_hellinger": lambda w, n: exact_log_hellinger(
+                ParamSet(4.0, 2.0, 4.0, 2.0), 0.5, w, n),
+            "closed_form_log_lower": lambda w, n: closed_form_log_lower(p, 0.5, w, n),
+            "closed_form_log_upper": lambda w, n: closed_form_log_upper(p, 0.5, w, n),
+            "entropy_report": lambda w, n: entropy_report(p, w, n),
+            "enum_log_hellinger": lambda w, n: enum_log_hellinger(p, 0.5, w, n),
+        }
+
+    @pytest.mark.parametrize("omega0, n, match", [
+        (0.5, 3, "omega0 must be an integer"),  # log_hellinger_bounds gave a number
+        (2, 2.5, "n must be an integer"),  # entropy_report and the closed forms did
+        (True, 3, "omega0 must be an integer"),  # the closed forms ran as omega0 = 1
+        (2, np.float64(3.0), "n must be an integer"),
+        (0, 3, "omega0 >= 1"),
+    ], ids=["omega0-0.5", "n-2.5", "omega0-True", "n-np.float64", "omega0-0"])
+    def test_refused_everywhere(self, omega0, n, match):
+        for name, layer in self.layers().items():
+            with pytest.raises(GWIError, match=match):
+                layer(omega0, n)
+                pytest.fail(name)
+
+    def test_numpy_integers_accepted_everywhere(self):
+        for name, layer in self.layers().items():
+            assert layer(np.int64(2), np.uint8(3)) == layer(2, 3), name
+
+    @pytest.mark.parametrize("x0_count", [0, 2.5, True])
+    def test_prelimit_initial_population(self, x0_count):
+        with pytest.raises(GWIError, match="omega0"):
+            prelimit_log_bounds(self.SDE, 0.5, 1.0, 10, x0_count)

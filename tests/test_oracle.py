@@ -131,6 +131,28 @@ class TestMonteCarlo:
         with pytest.raises(GWIError):
             mc_log_hellinger(ParamSet(0.5, 0.25, 0, 0), 0.5, 1, 2, 10, seed=0)
 
+    @pytest.mark.parametrize("reps, seed, match", [
+        (1000.0, 1, "reps must be an integer"), (1000.5, 1, "reps must be an integer"),
+        ("5000", 1, "reps must be an integer"), (True, 1, "reps must be an integer"),
+        (999, 1, "reps >= 1000"), (1000, True, "seed must be an integer"),
+        (1000, 1.5, "seed must be an integer"), (1000, "1", "seed must be an integer"),
+        (1000, -1, "seed must lie in"), (1000, 2**64, "seed must lie in"),
+    ], ids=["reps-float", "reps-fraction", "reps-str", "reps-bool", "reps-999", "seed-bool",
+            "seed-float", "seed-str", "seed-negative", "seed-2**64"])
+    def test_refuses_bad_reps_and_seed(self, reps, seed, match):
+        """reps = 1000.0 once raised TypeError; seed = True, 1.5 and -1 ran."""
+        with pytest.raises(GWIError, match=match):
+            mc_log_hellinger(ParamSet(0.5, 0.3, 1.0, 1.2), 0.5, 1, 2, reps, seed)
+
+    def test_seeds_above_two_to_the_63_are_distinct(self):
+        """A key list once cast seeds >= 2**63 through float64, so neighbours
+        drew the same paths."""
+        params = ParamSet(0.5, 0.3, 1.0, 1.2)
+        top = mc_log_hellinger(params, 0.5, 1, 2, 1000, np.uint64(2**64 - 1))
+        assert top != mc_log_hellinger(params, 0.5, 1, 2, 1000, 2**64 - 2)
+        assert mc_log_hellinger(params, 0.5, 1, 2, 1000, 2**63) != \
+            mc_log_hellinger(params, 0.5, 1, 2, 1000, 2**63 + 1)
+
 
 class TestBayesOracle:
     def test_degenerate_prior(self):

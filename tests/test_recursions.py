@@ -26,7 +26,8 @@ from gwidiv.params import GWIError, _geometric_mean, phi_eval, varphi_value
 from gwidiv import recursions
 from gwidiv.closed_form import closed_form_log_lower, closed_form_log_upper
 from gwidiv.cli import PRESETS
-from gwidiv.recursions import CoefficientPair, Constellation, _floor_x_max, _tail
+from gwidiv.recursions import (CoefficientPair, Constellation, LogBoundReport, _floor_x_max,
+                               _tail)
 
 from conftest import (ALL_CASES, assert_trace_matches, exact_tail, log_bound_at,
                       prefix_sequences, random_any, random_params, reference_traces)
@@ -416,6 +417,8 @@ class TestLatticeScansMatchReference:
                 for x, (phi, varphi) in zip(range(40), Constellation(params, lam)._lattice()):
                     assert phi == phi_eval(params, lam, float(x)).phi
                     assert varphi == varphi_value(params, lam, float(x))
+                for x, (phi, _) in zip(range(17, 20), Constellation(params, lam)._lattice(17)):
+                    assert phi == phi_eval(params, lam, float(x)).phi
 
     def test_separation_scan(self, rng):
         for lam in self.LAMS:
@@ -579,6 +582,19 @@ class TestDerivedOnce:
                 calls.clear()
                 closed_form_log_upper(params, 0.5, 3, 10)
                 assert len(calls) == 1, case
+
+
+def test_report_refuses_crossed_bounds():
+    """On these near-identical supercritical laws the SP2 secant(0,1) slope
+    rounds too low and log_lower -199.42 came back above log_upper -201.93."""
+    params = ParamSet(2.603618456914746, 2.6036184569147456,
+                      4.469573356601049, 4.469573356601049)
+    with pytest.raises(GWIError, match="exceeds log_upper"):
+        log_hellinger_bounds(params, 0.3989426784924799, 3, 85)
+    # one rounding allowance, 1e-12 * max(1, |log_lower|, |log_upper|), is kept
+    LogBoundReport(-200.0 + 1e-10, -200.0, None, "test", CaseTag.SP2)
+    with pytest.raises(GWIError, match="exceeds log_upper"):
+        LogBoundReport(-200.0 + 1e-9, -200.0, None, "test", CaseTag.SP2)
 
 
 def test_dispatcher_rejects_omega0_below_one_at_every_horizon(rng):
