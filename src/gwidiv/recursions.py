@@ -268,11 +268,15 @@ class Constellation:
     @cached_property
     def _peak(self) -> tuple[int, float, float]:
         """(j, phi(j), phi(j+1)), j the floor of phi's continuous maximizer:
-        floor(x*) on SP3c, where the rates cross, and ``_floor_x_max``
-        otherwise.  By concavity phi's lattice maximum is phi(j) or phi(j+1).
+        floor(x*) on SP3c, where the rates cross, 0 on SP3a, where classify
+        found phi'(0) <= 0, and ``_floor_x_max`` on SP3b.  By concavity phi's
+        lattice maximum is phi(j) or phi(j+1).
         """
-        params, lam = self.params, self.lam
-        j = math.floor(params.x_star) if self.case is CaseTag.SP3C else _floor_x_max(params, lam)
+        params, lam, case = self.params, self.lam, self.case
+        if case is CaseTag.SP3B:
+            j = _floor_x_max(params, lam)
+        else:
+            j = math.floor(params.x_star) if case is CaseTag.SP3C else 0
         scan = self._lattice(j)
         return j, next(scan)[0], next(scan)[0]
 

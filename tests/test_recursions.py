@@ -398,12 +398,18 @@ def _sp3d(rng, lam, gap):
 #: flat humps where phi's first float non-increase comes before the
 #: continuous maximizer's floor (4400 against 4403, 13925 against 13952); the
 #: case pair and the horizontal pair both sit at that floor (SP3b) or at
-#: floor(x*) (SP3c), or one point further right
+#: floor(x*) (SP3c), or one point further right.  On the last two the
+#: horizontal line through that first non-increase (6028, 14183) failed the
+#: lattice majorant check, and every bound on them was refused.
 FLAT_HUMPS = [
     (ParamSet(1.4128184515088393, 1.4130391457726639, 1.5082431015426703, 2.4806306341807254),
      0.2534580531603983, "secant(4404,4405)"),
     (ParamSet(1.033993741049962, 1.0342344970529096, 4.087050962879281, 0.7278870549318246),
      0.6528975137841735, "chord(0,13952)"),
+    (ParamSet(1.451381826623082, 1.451704497223911, 2.2039589576609155, 4.185718042288991),
+     0.017688497501229413, "secant(6138,6139)"),
+    (ParamSet(1.61863283704579, 1.618418758099448, 0.08129774901932003, 3.189141060008162),
+     0.8933375185003857, "secant(14518,14519)"),
 ]
 
 
