@@ -416,7 +416,7 @@ class LogBoundReport:
             raise GWIError("log_upper must be <= 0 (H <= 1)")
         lo, hi = self.log_lower, self.log_upper
         if lo > hi and lo > hi + _ORDER_ALLOWANCE * max(1.0, abs(lo), abs(hi)):
-            raise GWIError(f"log_lower {self.log_lower!r} exceeds log_upper {self.log_upper!r}")
+            raise GWIError(f"log_lower {lo!r} exceeds log_upper {hi!r}")
         if self.log_exact is not None:
             if not self.log_lower <= self.log_exact <= self.log_upper:
                 raise GWIError("exact value must lie between the bounds")
