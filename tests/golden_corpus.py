@@ -1,13 +1,21 @@
 """Golden corpus: exact outputs that a change meant to keep results must keep.
 
-Each line is ``key<TAB>value``.  Two parts:
+Each line is ``key<TAB>value``.  Three parts:
 
 * the standard output and exit code of ``gwidiv.cli.main`` run in process
   for every preset, for ``classify`` and, at n in ``CLI_NS``, for
-  ``hellinger``, ``divergence``, ``entropy``, ``bayes`` and ``nptest``;
+  ``hellinger``, ``divergence``, ``entropy``, ``bayes`` and ``nptest``; for
+  ``verify`` and ``simulate`` on every preset; and for ``diffusion``,
+  ``sweep`` (every axis) and one ``simulate`` at lambda 0.9, error objects
+  included;
 * ``float.hex`` of every pair in ``Constellation(params, lam).uppers`` and of
   the ``log_hellinger_bounds`` report, on seeded SP2-SP3d draws at every
-  lambda in ``LAMBDAS``.
+  lambda in ``LAMBDAS``;
+* every field of ``entropy_report`` and ``entropy_lower`` (floats as
+  ``float.hex``), the value of ``entropy_upper`` and ``exact_entropy``, or
+  the refusal, on seeded draws of all eight cases, on draws with beta_a
+  within ``NEAR_ONE`` of 1 and on a supercritical long-horizon point, at
+  every (omega0, n) in ``ENTROPY_HORIZONS``.
 
 ``tests/test_golden.py`` recomputes the corpus and compares it with the
 committed ``tests/golden_corpus.txt`` line by line.  To regenerate the file
@@ -26,11 +34,19 @@ import os
 
 import numpy as np
 
-from gwidiv import GWIError, log_hellinger_bounds
+from gwidiv import (
+    GWIError,
+    ParamSet,
+    entropy_lower,
+    entropy_report,
+    entropy_upper,
+    exact_entropy,
+    log_hellinger_bounds,
+)
 from gwidiv.cli import PRESETS, main
 from gwidiv.recursions import Constellation
 
-from conftest import random_params
+from conftest import ALL_CASES, random_params
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_corpus.txt")
 
@@ -44,6 +60,21 @@ DRAWS = 4
 HORIZONS = ((1, 1), (3, 7), (1, 60), (2, 2000))
 SEED = 20261019
 
+ENTROPY_DRAWS = 3
+#: distances of beta_a from 1 (on both sides) of the near-singular draws
+NEAR_ONE = (1e-3, 1e-5, 1e-7, 1e-9)
+#: a supercritical SP2 point of the long-horizon workload
+LONG_HORIZON_POINT = ParamSet(1.1412442533744493, 0.9273376114944971,
+                              0.6419940810377196, 0.6419940810377196)
+ENTROPY_HORIZONS = tuple((omega0, n) for omega0 in (1, 5) for n in (1, 10, 1000, 10**5))
+ENTROPY_FIELDS = ("exact", "upper", "lower", "tan_at_ystar", "best_tan", "best_sec",
+                  "horizontal", "y_best", "k_best", "simplified", "degenerate_sp3d",
+                  "dtan_at_ystar", "case")
+
+_SDE = (("--eta", "0.5", "--kappa-a", "2", "--kappa-h", "1", "--sigma", "1", "--x0-tilde", "1"),
+        ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1", "--x0-tilde", "1"),
+        ("--eta", "0", "--kappa-a", "0", "--kappa-h", "1", "--sigma", "1", "--x0-tilde", "2"))
+
 
 def _cli(argv: list[str]) -> str:
     out = io.StringIO()
@@ -56,6 +87,10 @@ def _hex(*values) -> str:
     return " ".join(v.hex() for v in values)
 
 
+def _value(v) -> str:
+    return v.hex() if isinstance(v, float) else repr(v)
+
+
 def cli_lines():
     for preset in sorted(PRESETS):
         yield f"cli classify {preset}", _cli(["classify", "--preset", preset])
@@ -63,6 +98,59 @@ def cli_lines():
             for n in CLI_NS:
                 argv = [command, "--preset", preset, "--n", str(n)]
                 yield f"cli {command} {preset} n={n}", _cli(argv)
+        for n in (1, 3):
+            yield f"cli verify {preset} n={n}", _cli(["verify", "--preset", preset, "--n", str(n)])
+            argv = ["simulate", "--preset", preset, "--n", str(n), "--reps", "1000"]
+            yield f"cli simulate {preset} n={n}", _cli(argv)
+    yield from _other_cli_lines()
+
+
+def _other_cli_lines():
+    argvs = [
+        ["simulate", "--beta-a", "0.8652015606657605", "--beta-h", "0.41477744087016977",
+         "--alpha-a", "1.2142988534394856", "--alpha-h", "0.2633468617418253",
+         "--lambda", "0.9", "--omega0", "5", "--n", "5", "--reps", "10000",
+         "--seed", "1130065792"],
+        ["simulate", "--preset", "a7-sp2", "--n", "2", "--reps", "999"],
+        ["verify", "--preset", "a7-sp2", "--n", "2", "--tail-budget", "2"],
+    ]
+    for sde in _SDE:
+        for lam in ("0.3", "0.5", "0.9"):
+            for t in ("0.5", "1", "10"):
+                base = ["diffusion", *sde, "--lambda", lam, "--t", t]
+                argvs.append(base)
+                argvs += [base + ["--m", m] for m in ("2", "100", "10000")]
+            argvs.append(["diffusion", *sde, "--lambda", lam, "--t", "1", "--m", "100",
+                          "--x0-count", "7"])
+        argvs += [
+            ["diffusion", *sde, "--t", "1"],
+            ["diffusion", *sde, "--lambda", "0.5", "--t", "nan", "--m", "100"],
+            ["sweep", *sde, "--lambda", "0.5", "--axis", "t", "--grid", "0.5:4:5"],
+            ["sweep", *sde, "--lambda", "0.5", "--axis", "m", "--grid", "100:500:200",
+             "--t", "2", "--format", "json"],
+            ["sweep", *sde, "--lambda", "0.5", "--axis", "m", "--grid", "100:300:100",
+             "--x0-count", "3"],
+            ["sweep", *sde, "--axis", "t", "--grid", "0.5:4:5"],
+        ]
+    argvs += [
+        ["diffusion", "--eta", "1", "--lambda", "0.5", "--t", "1"],
+        ["sweep", "--axis", "t", "--grid", "0:1:3", "--lambda", "0.5"],
+        ["sweep", *_SDE[0], "--axis", "m", "--grid", "100:300:100"],
+        ["sweep", "--beta-a", "0.8", "--beta-h", "0.6", "--alpha-a", "2", "--alpha-h", "1.1",
+         "--axis", "n", "--grid", "1:4"],
+        ["sweep", "--beta-a", "0.8", "--beta-h", "0.6", "--alpha-a", "2", "--alpha-h", "1.1",
+         "--axis", "lambda", "--grid", "0.1:0.9:4", "--n", "3"],
+        ["sweep", "--preset", "a7-sp2", "--axis", "lambda", "--grid", "0.9:0.1"],
+        ["sweep", "--preset", "a7-sp2", "--axis", "n", "--grid", "1:2:3:4"],
+    ]
+    for preset in sorted(PRESETS):
+        argvs += [
+            ["sweep", "--preset", preset, "--axis", "lambda", "--grid", "0.1:0.9:5", "--n", "3"],
+            ["sweep", "--preset", preset, "--axis", "n", "--grid", "1:2001:500", "--omega0", "2",
+             "--format", "json"],
+        ]
+    for argv in argvs:
+        yield "cli " + " ".join(argv), _cli(argv)
 
 
 def bound_lines():
@@ -86,8 +174,44 @@ def bound_lines():
                     yield f"bounds {key} omega0={omega0} n={n}", value
 
 
+def _entropy_params():
+    rng = np.random.default_rng(SEED + 1)
+    for case in ALL_CASES:
+        for draw in range(ENTROPY_DRAWS):
+            params = random_params(rng, case)
+            yield f"{case} draw={draw}", ParamSet(*map(float, (
+                params.beta_a, params.beta_h, params.alpha_a, params.alpha_h)))
+    for eps in NEAR_ONE:
+        for beta_a in (1.0 - eps, 1.0 + eps):
+            beta_h = float(rng.uniform(0.3, 0.9) if rng.integers(0, 2) else rng.uniform(1.1, 1.25))
+            scale = float(rng.uniform(0.3, 2.0))
+            alpha_a, alpha_h = map(float, rng.uniform(0.3, 2.2, size=2))
+            key = f"beta_a={beta_a!r}"
+            yield f"{key} NI", ParamSet(beta_a, beta_h, 0.0, 0.0)
+            yield f"{key} SP1", ParamSet(beta_a, beta_h, scale * beta_a, scale * beta_h)
+            yield f"{key} any", ParamSet(beta_a, beta_h, alpha_a, alpha_h)
+    yield "long-horizon", LONG_HORIZON_POINT
+
+
+def entropy_lines():
+    for key, params in _entropy_params():
+        yield f"params {key}", _hex(params.beta_a, params.beta_h, params.alpha_a, params.alpha_h)
+        for omega0, n in ENTROPY_HORIZONS:
+            for f in (entropy_report, entropy_lower, entropy_upper, exact_entropy):
+                try:
+                    out = f(params, omega0, n)
+                    if isinstance(out, float):
+                        value = out.hex()
+                    else:
+                        value = " ".join(_value(getattr(out, name)) for name in ENTROPY_FIELDS)
+                except GWIError as exc:
+                    value = f"{type(exc).__name__}: {exc}"
+                yield f"{f.__name__} {key} omega0={omega0} n={n}", value
+
+
 def corpus() -> list[str]:
-    return [f"{key}\t{value}" for lines in (cli_lines(), bound_lines()) for key, value in lines]
+    return [f"{key}\t{value}"
+            for lines in (cli_lines(), bound_lines(), entropy_lines()) for key, value in lines]
 
 
 if __name__ == "__main__":
