@@ -231,17 +231,27 @@ def _cmd_entropy(args) -> dict:
     }
 
 
+_SDE_FLAGS = ("--eta", "--kappa-a", "--kappa-h", "--sigma", "--x0-tilde")
+
+
 def _sde_from(args) -> SDEParams:
+    """The SDE parameters, after checking that they and --lambda are given."""
     needed = [args.eta, args.kappa_a, args.kappa_h, args.sigma, args.x0_tilde]
     if any(v is None for v in needed):
-        raise GWIError("missing SDE parameters: --eta --kappa-a --kappa-h --sigma --x0-tilde")
-    return SDEParams(*needed)
+        raise GWIError(f"missing SDE parameters: {' '.join(_SDE_FLAGS)}")
+    sde = SDEParams(*needed)
+    if args.lam is None:
+        raise GWIError("missing --lambda")
+    return sde
+
+
+def _x0_count(args, sde: SDEParams, m: int) -> int:
+    """--x0-count, by default the initial value m*x0_tilde rounded (at least 1)."""
+    return args.x0_count if args.x0_count is not None else max(1, round(m * sde.x0_tilde))
 
 
 def _cmd_diffusion(args) -> dict:
     sde = _sde_from(args)
-    if args.lam is None:
-        raise GWIError("missing --lambda")
     log_lo, log_hi = limit_log_bounds(sde, args.lam, args.t)
     out = {
         "command": "diffusion",
@@ -257,7 +267,7 @@ def _cmd_diffusion(args) -> dict:
         "limit_entropy": limit_entropy(sde, args.t),
     }
     if args.m is not None:
-        x0_count = args.x0_count if args.x0_count is not None else max(1, round(args.m * sde.x0_tilde))
+        x0_count = _x0_count(args, sde, args.m)
         pre_lo, pre_hi = prelimit_log_bounds(sde, args.lam, args.t, args.m, x0_count)
         step_params = approx_params(sde, args.m)
         out["inputs"].update({"m": args.m, "x0_count": x0_count})
@@ -386,25 +396,15 @@ def _parse_grid(spec: str, integer: bool) -> list:
 def _cmd_sweep(args) -> tuple[list[str], list[list]]:
     rows: list[list] = []
     if args.axis in ("lambda", "n"):
-        params, lam = _params_from(args, need_lambda=(args.axis == "n"))
-        if args.axis == "lambda":
-            grid = _parse_grid(args.grid, integer=False)
-            header = ["lambda", "case", "log_lower", "log_upper", "log_exact"]
-            for value in grid:
-                report = log_hellinger_bounds(params, value, args.omega0, args.n)
-                rows.append([value, report.case.value, report.log_lower,
-                             report.log_upper, report.log_exact])
-        else:
-            grid = _parse_grid(args.grid, integer=True)
-            header = ["n", "case", "log_lower", "log_upper", "log_exact"]
-            for value in grid:
-                report = log_hellinger_bounds(params, lam, args.omega0, value)
-                rows.append([value, report.case.value, report.log_lower,
-                             report.log_upper, report.log_exact])
-        return header, rows
+        on_n = args.axis == "n"
+        params, lam = _params_from(args, need_lambda=on_n)
+        for value in _parse_grid(args.grid, integer=on_n):
+            lam_k, n_k = (lam, value) if on_n else (value, args.n)
+            report = log_hellinger_bounds(params, lam_k, args.omega0, n_k)
+            rows.append([value, report.case.value, report.log_lower,
+                         report.log_upper, report.log_exact])
+        return [args.axis, "case", "log_lower", "log_upper", "log_exact"], rows
     sde = _sde_from(args)
-    if args.lam is None:
-        raise GWIError("missing --lambda")
     if args.axis == "t":
         grid = _parse_grid(args.grid, integer=False)
         header = ["t", "log_limit_lower", "log_limit_upper", "limit_entropy"]
@@ -416,8 +416,7 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
     grid = _parse_grid(args.grid, integer=True)
     header = ["m", "horizon", "log_prelimit_lower", "log_prelimit_upper"]
     for value in grid:
-        x0_count = args.x0_count if args.x0_count is not None else max(1, round(value * sde.x0_tilde))
-        lo, hi = prelimit_log_bounds(sde, args.lam, args.t, value, x0_count)
+        lo, hi = prelimit_log_bounds(sde, args.lam, args.t, value, _x0_count(args, sde, value))
         rows.append([value, time_horizon(sde, value, args.t), lo, hi])
     return header, rows
 
@@ -446,11 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common("entropy", with_lambda=False)
 
     p = sub.add_parser("diffusion")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--kappa-a", type=float)
-    p.add_argument("--kappa-h", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--x0-tilde", type=float)
+    for flag in _SDE_FLAGS:
+        p.add_argument(flag, type=float)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--m", type=int)
@@ -477,11 +473,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--axis", choices=("lambda", "n", "t", "m"), required=True)
     p.add_argument("--grid", required=True, help="start:stop[:count|:step]")
-    p.add_argument("--eta", type=float)
-    p.add_argument("--kappa-a", type=float)
-    p.add_argument("--kappa-h", type=float)
-    p.add_argument("--sigma", type=float)
-    p.add_argument("--x0-tilde", type=float)
+    for flag in _SDE_FLAGS:
+        p.add_argument(flag, type=float)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--x0-count", type=int)
     p.add_argument("--format", choices=("json", "csv"), default="csv")

@@ -12,7 +12,8 @@ linear; a majorant or minorant of it elsewhere), so it equals n*c0 + c1*S
 = n*(c0 + c1*mbar) with the expected population sum S = sum_{k<n} E_A X_k
 and mbar = S/n; since g is convex, each supremum is a closed form at mbar.
 S is the only quantity with a removable singularity at beta_a = 1;
-`_occupation` computes it uniformly across it.
+`_occupation` computes it uniformly across it, once per `entropy_report`,
+of which `exact_entropy`, `entropy_upper` and `entropy_lower` are views.
 """
 
 from __future__ import annotations
@@ -23,7 +24,15 @@ from typing import Optional
 
 from scipy.special import lambertw
 
-from .params import CaseError, CaseTag, GWIError, ParamSet, _initial_population, classify
+from .params import (
+    CaseError,
+    CaseTag,
+    GWIError,
+    ParamSet,
+    _crossed,
+    _initial_population,
+    classify,
+)
 
 __all__ = [
     "EntropyReport",
@@ -74,9 +83,9 @@ def _occupation(params: ParamSet, omega0: int, n: int) -> float:
     return s
 
 
-def _integrated(line: tuple[float, float], params: ParamSet, omega0: int, n: int) -> float:
+def _integrated(line: tuple[float, float], n: int, s: float) -> float:
     """sum_{k<n} E_A[c0 + c1*X_k] = n*c0 + c1*S for the line (c0, c1)."""
-    value = n * line[0] + line[1] * _occupation(params, omega0, n)
+    value = n * line[0] + line[1] * s
     if not math.isfinite(value):
         raise GWIError(f"entropy value overflows a double at n = {n}")
     return value
@@ -117,39 +126,16 @@ def _secant_line(params: ParamSet, k: int) -> tuple[float, float]:
     )
 
 
-def exact_entropy(params: ParamSet, omega0: int, n: int) -> float:
-    """Exact relative entropy I(P_A,n || P_H,n) on NI u SP1."""
-    case = classify(params, 0.5)
-    if not case.exactly_computable:
-        raise CaseError(
-            f"exact entropy only exists on NI/SP1 (got {case.value}); use the bounds"
-        )
-    t = _entropy_drift(params)
-    return _integrated((params.alpha_a * t / params.beta_a, t), params, omega0, n)
-
-
-def entropy_upper(params: ParamSet, omega0: int, n: int) -> float:
-    """Closed-form upper bound E^U_n for the relative entropy on SP2..SP4."""
-    case = classify(params, 0.5)
-    if case.exactly_computable:
-        raise CaseError(
-            f"case {case.value} has exact entropy; use exact_entropy"
-        )
-    aa, ah = params.alpha_a, params.alpha_h
-    g_zero = aa * math.log(aa / ah) - aa + ah
-    return _integrated((g_zero, _entropy_drift(params)), params, omega0, n)
-
-
 def tangent_component(params: ParamSet, omega0: int, n: int, y: float) -> float:
     """Lower-bound component from the tangent of phi at the point y >= 0."""
     if y < 0.0:
         raise GWIError("tangent point y must be >= 0")
-    return _integrated(_tangent_line(params, y), params, omega0, n)
+    return _integrated(_tangent_line(params, y), n, _occupation(params, omega0, n))
 
 
 def tangent_component_limit(params: ParamSet, omega0: int, n: int) -> float:
     """The y -> infinity limit of the tangent component (closed form)."""
-    return _integrated(_limit_line(params), params, omega0, n)
+    return _integrated(_limit_line(params), n, _occupation(params, omega0, n))
 
 
 def tangent_component_dy(params: ParamSet, omega0: int, n: int, y: float) -> float:
@@ -157,14 +143,14 @@ def tangent_component_dy(params: ParamSet, omega0: int, n: int, y: float) -> flo
     gbar = params.alpha_a * params.beta_h - params.alpha_h * params.beta_a
     curvature = gbar**2 / (params.rate_a(y) * params.rate_h(y) ** 2)
     # d/dy of the tangent line at y is the line curvature * (x - y)
-    return _integrated((-curvature * y, curvature), params, omega0, n)
+    return _integrated((-curvature * y, curvature), n, _occupation(params, omega0, n))
 
 
 def secant_component(params: ParamSet, omega0: int, n: int, k: int) -> float:
     """Lower-bound component from the secant of phi through k and k + 1."""
     if k < 0:
         raise GWIError("secant index k must be >= 0")
-    return _integrated(_secant_line(params, k), params, omega0, n)
+    return _integrated(_secant_line(params, k), n, _occupation(params, omega0, n))
 
 
 def _divergence(params: ParamSet, x: float) -> float:
@@ -216,10 +202,11 @@ def horizontal_component(params: ParamSet, omega0: int, n: int) -> tuple[float, 
     """Lower-bound component from the horizontal majorant; returns (value, z*).
 
     The value is n*g(z*), z* the smallest integer minimizing the convex g,
-    next to its stationary point.  On SP4 the horizontal majorant is trivial,
-    so the component is 0.
+    next to its stationary point.  On SP4 (beta_a == beta_h) the horizontal
+    majorant is trivial, so the component is 0.
     """
-    if classify(params, 0.5) is CaseTag.SP4:
+    omega0, n = _initial_population(omega0, n, 1)
+    if params.beta_a == params.beta_h:
         return 0.0, 0
     x_min = _stationary_point(params)
     z = 0
@@ -230,6 +217,15 @@ def horizontal_component(params: ParamSet, omega0: int, n: int) -> tuple[float, 
     return _divergence(params, z) * n, z
 
 
+def _dtan_line(params: ParamSet) -> tuple[float, float]:
+    """d/dy of the tangent line of g at y* = x*, where f_A = f_H =
+    gbar/(beta_h - beta_a): -gap^3/gbar * (x - y*), written without dividing
+    by gap."""
+    gbar = params.alpha_a * params.beta_h - params.alpha_h * params.beta_a
+    gap = params.beta_a - params.beta_h
+    return -(gap**2) * (params.alpha_a - params.alpha_h) / gbar, -(gap**3) / gbar
+
+
 def tangent_derivative_at_ystar(params: ParamSet, omega0: int, n: int) -> float:
     """Closed form of d/dy tangent-component at y* = (alpha_a-alpha_h)/(beta_h-beta_a).
 
@@ -238,32 +234,25 @@ def tangent_derivative_at_ystar(params: ParamSet, omega0: int, n: int) -> float:
     its zero and strict positivity of the entropy lower bound is not
     guaranteed by the construction.
     """
-    gbar = params.alpha_a * params.beta_h - params.alpha_h * params.beta_a
-    gap = params.beta_a - params.beta_h
-    # tangent_component_dy at y*, where f_A = f_H = gbar/(beta_h - beta_a):
-    # the line -gap^3/gbar * (x - y*), written without dividing by gap
-    return _integrated(
-        (-(gap**2) * (params.alpha_a - params.alpha_h) / gbar, -(gap**3) / gbar),
-        params, omega0, n,
-    )
+    return _integrated(_dtan_line(params), n, _occupation(params, omega0, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class EntropyReport:
     """Entropy values and bound components for one (params, omega0, n)."""
 
-    exact: Optional[float]
-    upper: Optional[float]
-    lower: Optional[float]
-    tan_at_ystar: Optional[float]
-    best_tan: Optional[float]
-    best_sec: Optional[float]
-    horizontal: Optional[float]
-    y_best: Optional[float]
-    k_best: Optional[int]
-    simplified: Optional[float]
-    degenerate_sp3d: bool
-    dtan_at_ystar: Optional[float]
+    exact: Optional[float] = None
+    upper: Optional[float] = None
+    lower: Optional[float] = None
+    tan_at_ystar: Optional[float] = None
+    best_tan: Optional[float] = None
+    best_sec: Optional[float] = None
+    horizontal: Optional[float] = None
+    y_best: Optional[float] = None
+    k_best: Optional[int] = None
+    simplified: Optional[float] = None
+    degenerate_sp3d: bool = False
+    dtan_at_ystar: Optional[float] = None
     case: CaseTag
 
     def __post_init__(self) -> None:
@@ -273,84 +262,74 @@ class EntropyReport:
             if value is not None and not math.isfinite(value):
                 raise GWIError(f"entropy {name} is {value}, not a finite double")
         if self.lower is not None and self.upper is not None:
-            if self.lower > self.upper + 1e-9:
+            if _crossed(self.lower, self.upper):
                 raise GWIError("entropy lower bound exceeds upper bound")
 
 
-def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
-    """Supremum of the tangent/secant/horizontal entropy lower bounds.
+def exact_entropy(params: ParamSet, omega0: int, n: int) -> float:
+    """Exact relative entropy I(P_A,n || P_H,n) on NI u SP1."""
+    case = classify(params, 0.5)
+    if not case.exactly_computable:
+        raise CaseError(f"exact entropy only exists on NI/SP1 (got {case.value}); use the bounds")
+    return entropy_report(params, omega0, n).exact
 
-    Every member of the three families is a line l evaluated as n*l(mbar) at
-    mbar = S/n, so each supremum is a closed form in h = g - t*x: the best
-    tangent t*S + n*h(mbar) at y_best = mbar, the best secant
-    t*S + n*[h(k) + (mbar - k)(h(k+1) - h(k))] at k_best = k = floor(mbar),
-    and the horizontal component n*min_Z g.  The simplified bound
-    max{tan(inf), sec(0), horizontal} is reported alongside.
+
+def entropy_upper(params: ParamSet, omega0: int, n: int) -> float:
+    """Closed-form upper bound E^U_n for the relative entropy on SP2..SP4."""
+    case = classify(params, 0.5)
+    if case.exactly_computable:
+        raise CaseError(f"case {case.value} has exact entropy; use exact_entropy")
+    return entropy_report(params, omega0, n).upper
+
+
+def entropy_lower(params: ParamSet, omega0: int, n: int) -> EntropyReport:
+    """Supremum of the tangent/secant/horizontal entropy lower bounds: the
+    report of ``entropy_report`` without its upper bound."""
+    case = classify(params, 0.5)
+    if case.exactly_computable:
+        raise CaseError(f"entropy lower bounds only apply on SP \\ SP1, got {case.value}")
+    return replace(entropy_report(params, omega0, n), upper=None)
+
+
+def entropy_report(params: ParamSet, omega0: int, n: int) -> EntropyReport:
+    """Exact entropy (NI/SP1) or the E^L/E^U bound pair (otherwise), in one
+    pass: one classification and one expected-population sum S.
+
+    The exact value integrates g itself and the upper bound E^U its majorant
+    g(0) + t*x.  Every member of the three lower-bound families is a line l
+    evaluated as n*l(mbar) at mbar = S/n, so each supremum is a closed form
+    in h = g - t*x: the best tangent t*S + n*h(mbar) at y_best = mbar, the
+    best secant t*S + n*[h(k) + (mbar - k)(h(k+1) - h(k))] at k_best = k =
+    floor(mbar), and the horizontal component n*min_Z g.  The simplified
+    bound max{tan(inf), sec(0), horizontal} is reported alongside.
     """
     case = classify(params, 0.5)
-    if case in (CaseTag.NI, CaseTag.SP1):
-        raise CaseError(f"entropy lower bounds only apply on SP \\ SP1, got {case.value}")
     s = _occupation(params, omega0, n)
-    ts = _entropy_drift(params) * s
+    t = _entropy_drift(params)
+    aa, ah = params.alpha_a, params.alpha_h
+    if case.exactly_computable:
+        value = _integrated((aa * t / params.beta_a, t), n, s)
+        return EntropyReport(exact=value, upper=value, lower=value, case=case)
+    upper = _integrated((aa * math.log(aa / ah) - aa + ah, t), n, s)
+    ts = t * s
     y_best = s / n
     k_best = math.floor(y_best)
     h_k = _excess(params, k_best)
     best_tan = ts + n * _excess(params, y_best)
     best_sec = ts + n * (h_k + (y_best - k_best) * (_excess(params, k_best + 1) - h_k))
-
-    # unlike _integrated, no finiteness check: a candidate that overflows to
-    # -inf just loses, and the report rejects any value it would keep
-    def integrated(line: tuple[float, float]) -> float:
-        return n * line[0] + line[1] * s
-
     horizontal, _z = horizontal_component(params, omega0, n)
-    lower = max(best_tan, best_sec, horizontal, 0.0)
-    simplified = max(integrated(_limit_line(params)), integrated(_secant_line(params, 0)),
-                     horizontal)
-
+    # no finiteness check here: a candidate that overflows to -inf just
+    # loses, and the report refuses any value it would keep
+    (c0, _t), (d0, d1) = _limit_line(params), _secant_line(params, 0)
+    simplified = max(n * c0 + ts, n * d0 + d1 * s, horizontal)
     tan_at_ystar = dtan = None
-    degenerate = False
     if case is CaseTag.SP3D:
-        tan_at_ystar = integrated(_tangent_line(params, params.x_star))
-        dtan = tangent_derivative_at_ystar(params, omega0, n)
-        degenerate = bool(abs(dtan) <= 1e-10 * max(1.0, abs(n)))
-
+        c0, c1 = _tangent_line(params, params.x_star)
+        tan_at_ystar = n * c0 + c1 * s
+        dtan = _integrated(_dtan_line(params), n, s)
     return EntropyReport(
-        exact=None,
-        upper=None,
-        lower=lower,
-        tan_at_ystar=tan_at_ystar,
-        best_tan=best_tan,
-        best_sec=best_sec,
-        horizontal=horizontal,
-        y_best=y_best,
-        k_best=k_best,
-        simplified=simplified,
-        degenerate_sp3d=degenerate,
-        dtan_at_ystar=dtan,
-        case=case,
+        upper=upper, lower=max(best_tan, best_sec, horizontal, 0.0), tan_at_ystar=tan_at_ystar,
+        best_tan=best_tan, best_sec=best_sec, horizontal=horizontal, y_best=y_best,
+        k_best=k_best, simplified=simplified, dtan_at_ystar=dtan, case=case,
+        degenerate_sp3d=dtan is not None and bool(abs(dtan) <= 1e-10 * max(1.0, abs(n))),
     )
-
-
-def entropy_report(params: ParamSet, omega0: int, n: int) -> EntropyReport:
-    """Exact entropy (NI/SP1) or the E^L/E^U bound pair (otherwise)."""
-    case = classify(params, 0.5)
-    if case.exactly_computable:
-        value = exact_entropy(params, omega0, n)
-        return EntropyReport(
-            exact=value,
-            upper=value,
-            lower=value,
-            tan_at_ystar=None,
-            best_tan=None,
-            best_sec=None,
-            horizontal=None,
-            y_best=None,
-            k_best=None,
-            simplified=None,
-            degenerate_sp3d=False,
-            dtan_at_ystar=None,
-            case=case,
-        )
-    report = entropy_lower(params, omega0, n)
-    return replace(report, upper=entropy_upper(params, omega0, n))

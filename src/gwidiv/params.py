@@ -39,6 +39,10 @@ __all__ = [
 #: absolute tolerance for derived-quantity ties (ratio equality, integer test)
 RATIO_TOL = 1e-12
 
+#: rounding allowance of the bound reports' order check lower <= upper: this
+#: share of max(1, |lower|, |upper|), as in perfbench/checks.py
+ORDER_ALLOWANCE = 1e-12
+
 
 class GWIError(ValueError):
     """Invalid input for the GWI divergence machinery."""
@@ -99,6 +103,11 @@ def _initial_population(omega0, n, n_min: int, cap: int | None = None) -> tuple[
     if cap is not None and omega0 > cap:
         raise GWIError(f"omega0 = {omega0} exceeds the state cap max_state = {cap}")
     return omega0, n
+
+
+def _crossed(lower: float, upper: float) -> bool:
+    """lower exceeds upper by more than the rounding allowance."""
+    return lower > upper and lower > upper + ORDER_ALLOWANCE * max(1.0, abs(lower), abs(upper))
 
 
 def validate_order(lam: float) -> float:

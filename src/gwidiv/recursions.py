@@ -24,8 +24,10 @@ from .params import (
     CaseTag,
     GWIError,
     ParamSet,
+    _crossed,
     _geometric_mean,
     _initial_population,
+    _integer,
     classify,
     lambda_weights,
     phi_eval,
@@ -54,10 +56,6 @@ _MAJORANT_TOL = 1e-9
 _HUMP_CASES = (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C)
 
 _EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
-
-#: rounding allowance of the report's order check log_lower <= log_upper:
-#: this share of max(1, |log_lower|, |log_upper|), as in perfbench/checks.py
-_ORDER_ALLOWANCE = 1e-12
 
 
 class CoeffRole(enum.Enum):
@@ -123,6 +121,8 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
     equals a_{k-1} every later step repeats step k: the loop stops there and
     adds the n - k repeats to each sum with one rounding, in O(1).
     """
+    if type(n) is not int:
+        n = _integer("n", n)
     if n < 1:
         raise GWIError("recursion horizon n must be >= 1")
     if p < 0.0 or q < 0.0:
@@ -158,10 +158,9 @@ def _floor_x_max(params: ParamSet, lam: float) -> int:
     phi'(0) <= 0, else of the positive root of phi'(x) = 0 (SP3b).
 
     Bisection; it stops once floor(lo) == floor(hi), since every later
-    midpoint stays inside [lo, hi] and the floor is then fixed.
+    midpoint stays inside [lo, hi] and the floor is then fixed.  When
+    phi'(0) <= 0, phi' <= 0 everywhere, so the first midpoint fixes it at 0.
     """
-    if phi_eval(params, lam, 0.0).phi_prime <= 0.0:
-        return 0
     lo, hi = 0.0, 1.0
     while phi_eval(params, lam, hi).phi_prime > 0.0:
         lo = hi
@@ -414,9 +413,8 @@ class LogBoundReport:
     def __post_init__(self) -> None:
         if self.log_upper > 0.0:
             raise GWIError("log_upper must be <= 0 (H <= 1)")
-        lo, hi = self.log_lower, self.log_upper
-        if lo > hi and lo > hi + _ORDER_ALLOWANCE * max(1.0, abs(lo), abs(hi)):
-            raise GWIError(f"log_lower {lo!r} exceeds log_upper {hi!r}")
+        if _crossed(self.log_lower, self.log_upper):
+            raise GWIError(f"log_lower {self.log_lower!r} exceeds log_upper {self.log_upper!r}")
         if self.log_exact is not None:
             if not self.log_lower <= self.log_exact <= self.log_upper:
                 raise GWIError("exact value must lie between the bounds")

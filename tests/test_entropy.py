@@ -1,6 +1,7 @@
 """Relative-entropy exact values, upper bound E^U and lower-bound family."""
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from gwidiv import (
     CaseError,
+    CaseTag,
+    EntropyReport,
     GWIError,
     ParamSet,
     classify,
@@ -23,6 +26,7 @@ from gwidiv import (
     tangent_component_limit,
     tangent_derivative_at_ystar,
 )
+from gwidiv import entropy
 from gwidiv.entropy import _occupation, _stationary_point, horizontal_component
 
 from conftest import ALL_CASES, random_params
@@ -200,6 +204,57 @@ class TestEntropyReport:
         params = ParamSet(0.8, 0.6, 2, 1.9)
         report = entropy_lower(params, 1, 3)
         assert report.best_sec >= secant_component(params, 1, 3, 0) - 1e-12
+
+    def test_one_pass_classifies_once_and_sums_once(self, rng, monkeypatch):
+        calls = {"classify": 0, "_occupation": 0}
+
+        def counted(name):
+            fn = getattr(entropy, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(entropy, name, counted(name))
+        for case in ALL_CASES:
+            for _ in range(3):
+                calls.update(classify=0, _occupation=0)
+                entropy_report(random_params(rng, case), 2, 9)
+                assert calls == {"classify": 1, "_occupation": 1}, case
+
+    def test_views_are_the_report(self, rng):
+        for case in ALL_CASES:
+            params = random_params(rng, case)
+            report = entropy_report(params, 3, 40)
+            if report.exact is not None:
+                assert exact_entropy(params, 3, 40) == report.exact
+            else:
+                assert entropy_upper(params, 3, 40) == report.upper
+                assert entropy_lower(params, 3, 40) == replace(report, upper=None)
+
+    def test_order_allowance_is_relative(self):
+        """The reports share one allowance, 1e-12 * max(1, |lower|, |upper|)."""
+        EntropyReport(lower=1e20 * (1.0 + 5e-13), upper=1e20, case=CaseTag.SP2)
+        with pytest.raises(GWIError, match="exceeds upper bound"):
+            EntropyReport(lower=1e-3 + 1e-10, upper=1e-3, case=CaseTag.SP2)
+
+    def test_overflow_names_the_value(self):
+        """An exact or upper value beyond a double is refused with the same
+        message by every view; the bound report once named its lower bound."""
+        message = "entropy value overflows a double at n = 1019"
+        with pytest.raises(GWIError, match=message):
+            exact_entropy(ParamSet(2.0, 0.5, 0.0, 0.0), 29, 1019)
+        for view in (entropy_report, entropy_upper, entropy_lower):
+            with pytest.raises(GWIError, match=message):
+                view(ParamSet(2.0, 0.5, 1.0, 1.0), 29, 1019)
+
+    def test_horizontal_component_checks_its_population(self):
+        """(omega0, n) = (0, -5) once gave a negative lower-bound component."""
+        for omega0, n in ((0, -5), (True, 2.5), (1, 0)):
+            with pytest.raises(GWIError):
+                horizontal_component(ParamSet(0.8, 0.6, 2.0, 1.1), omega0, n)
 
 
 # Reference copy of the twin-branch formulas that the line integrals

@@ -1,10 +1,14 @@
 """Parameter validation, case classification and the phi machinery."""
 
+import inspect
+
 import numpy as np
 import pytest
 
 from gwidiv import (
+    CaseError,
     CaseTag,
+    DecisionConfig,
     GWIError,
     ParamSet,
     SDEParams,
@@ -21,6 +25,16 @@ from gwidiv import (
     prelimit_log_bounds,
     recursive_log_bounds,
     varphi_value,
+)
+from gwidiv import (
+    closed_form,
+    decisions,
+    diffusion,
+    entropy,
+    fixed_point,
+    oracle,
+    params,
+    recursions,
 )
 from gwidiv.params import case_details, phi0_prime
 
@@ -240,6 +254,47 @@ class TestInitialPopulationEveryLayer:
     def test_numpy_integers_accepted_everywhere(self):
         for name, layer in self.layers().items():
             assert layer(np.int64(2), np.uint8(3)) == layer(2, 3), name
+
+    #: argument values by parameter name, for calls that succeed
+    ARGUMENTS = {"lam": 0.5, "omega0": 1, "n": 3, "p": 1.0, "q": 0.5, "y": 1.0, "k": 0,
+                 "cfg": DecisionConfig(), "level": 0.05, "reps": 1000, "seed": 0}
+
+    @staticmethod
+    def public_functions_with_a_population():
+        for module in (params, recursions, fixed_point, closed_form, entropy, diffusion,
+                       decisions, oracle):
+            for name in module.__all__:
+                fn = getattr(module, name)
+                if inspect.isfunction(fn):
+                    signature = inspect.signature(fn)
+                    if "omega0" in signature.parameters or "n" in signature.parameters:
+                        yield name, fn, signature
+
+    def test_every_public_function_checks_its_population(self):
+        """Found by signature, so a new public function cannot skip the rule:
+        horizontal_component once returned a negative component for n = -5,
+        and run_recursion ran n = True as n = 1 and crashed on n = 2.5."""
+        found = []
+        for name, fn, signature in self.public_functions_with_a_population():
+            # SP3b covers every layer but the exact value and entropy, which need NI/SP1
+            for p in (self.PARAMS, ParamSet(4.0, 2.0, 4.0, 2.0)):
+                values = {**self.ARGUMENTS, "params": p}
+                kwargs = {k: values[k] for k in signature.parameters if k in values}
+                try:
+                    fn(**kwargs)
+                    break
+                except CaseError:
+                    continue
+            else:
+                pytest.fail(f"{name} refuses both constellations")
+            for bad in ({"n": 2.5}, {"n": True}, {"omega0": 0}):
+                if set(bad) <= set(signature.parameters):
+                    with pytest.raises(GWIError):
+                        fn(**{**kwargs, **bad})
+                        pytest.fail(f"{name} accepted {bad}")
+            found.append(name)
+        assert {"run_recursion", "horizontal_component", "entropy_report",
+                "mc_log_hellinger"} <= set(found)
 
     @pytest.mark.parametrize("x0_count", [0, 2.5, True])
     def test_prelimit_initial_population(self, x0_count):
