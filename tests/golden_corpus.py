@@ -1,6 +1,6 @@
 """Golden corpus: exact outputs that a change meant to keep results must keep.
 
-Each line is ``key<TAB>value``.  Three parts:
+Each line is ``key<TAB>value``.  Four parts:
 
 * the standard output and exit code of ``gwidiv.cli.main`` run in process
   for every preset, for ``classify`` and, at n in ``CLI_NS``, for
@@ -15,7 +15,15 @@ Each line is ``key<TAB>value``.  Three parts:
   ``float.hex``), the value of ``entropy_upper`` and ``exact_entropy``, or
   the refusal, on seeded draws of all eight cases, on draws with beta_a
   within ``NEAR_ONE`` of 1 and on a supercritical long-horizon point, at
-  every (omega0, n) in ``ENTROPY_HORIZONS``.
+  every (omega0, n) in ``ENTROPY_HORIZONS``;
+* every ``ClosedFormTerms`` field (floats as ``float.hex``) of
+  ``closed_form_lower_terms`` and ``closed_form_upper_terms`` with
+  ``explicit`` False and True, or the refusal, at every (omega0, n) in
+  ``CLOSED_FORM_HORIZONS``, and the ``FixedPointResult`` fields and
+  ``asymptotic_log_slope`` of each pair, or the refusal, on the SP2-SP3d
+  draws above and on ``LINEAR_DRAWS`` seeded NI/SP1 draws per lambda; and
+  ``prelimit_log_bounds`` (or the refusal) at the ``_SDE`` points, lambda
+  0.3, 0.5 and 0.9, t 0.5, 1 and 10, for every m in ``PRELIMIT_MS``.
 
 ``tests/test_golden.py`` recomputes the corpus and compares it with the
 committed ``tests/golden_corpus.txt`` line by line.  To regenerate the file
@@ -37,11 +45,17 @@ import numpy as np
 from gwidiv import (
     GWIError,
     ParamSet,
+    SDEParams,
+    asymptotic_log_slope,
+    closed_form_lower_terms,
+    closed_form_upper_terms,
     entropy_lower,
     entropy_report,
     entropy_upper,
     exact_entropy,
     log_hellinger_bounds,
+    prelimit_log_bounds,
+    solve_fixed_point,
 )
 from gwidiv.cli import PRESETS, main
 from gwidiv.recursions import Constellation
@@ -70,6 +84,16 @@ ENTROPY_HORIZONS = tuple((omega0, n) for omega0 in (1, 5) for n in (1, 10, 1000,
 ENTROPY_FIELDS = ("exact", "upper", "lower", "tan_at_ystar", "best_tan", "best_sec",
                   "horizontal", "y_best", "k_best", "simplified", "degenerate_sp3d",
                   "dtan_at_ystar", "case")
+
+#: draws per (case, lambda) of the closed-form entries on NI and SP1
+LINEAR_DRAWS = 2
+#: (omega0, n) of the closed-form entries
+CLOSED_FORM_HORIZONS = (*HORIZONS, (1, 10**9))
+CLOSED_FORM_FIELDS = ("zeta", "vartheta", "main_linear", "main_geometric", "x0_used", "omega0",
+                      "explicit_fallback")
+FIXED_POINT_FIELDS = ("x0", "x0_under", "x0_over", "d_t", "d_s", "gamma_cap", "q",
+                      "beta_lambda", "explicit_unsafe")
+PRELIMIT_MS = tuple(10**k for k in range(1, 9))
 
 _SDE = (("--eta", "0.5", "--kappa-a", "2", "--kappa-h", "1", "--sigma", "1", "--x0-tilde", "1"),
         ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1", "--x0-tilde", "1"),
@@ -153,25 +177,82 @@ def _other_cli_lines():
         yield "cli " + " ".join(argv), _cli(argv)
 
 
-def bound_lines():
-    rng = np.random.default_rng(SEED)
-    for case in BOUND_CASES:
+def _refusal(exc: GWIError) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _draws(seed: int, cases, draws: int = DRAWS):
+    rng = np.random.default_rng(seed)
+    for case in cases:
         for lam in LAMBDAS:
-            for draw in range(DRAWS):
-                params = random_params(rng, case, lam)
-                key = f"{case} lam={lam} draw={draw}"
-                yield f"params {key}", _hex(params.beta_a, params.beta_h,
-                                            params.alpha_a, params.alpha_h)
-                c = Constellation(params, lam)
-                for pair in c.uppers:
-                    yield f"uppers {key} {pair.label}", _hex(pair.p, pair.q)
-                for omega0, n in HORIZONS:
+            for draw in range(draws):
+                yield f"{case} lam={lam} draw={draw}", random_params(rng, case, lam), lam
+
+
+def bound_lines():
+    for key, params, lam in _draws(SEED, BOUND_CASES):
+        yield f"params {key}", _hex(params.beta_a, params.beta_h, params.alpha_a, params.alpha_h)
+        c = Constellation(params, lam)
+        for pair in c.uppers:
+            yield f"uppers {key} {pair.label}", _hex(pair.p, pair.q)
+        for omega0, n in HORIZONS:
+            try:
+                report = log_hellinger_bounds(params, lam, omega0, n)
+                value = f"{_hex(report.log_lower, report.log_upper)} {report.method}"
+            except GWIError as exc:
+                value = _refusal(exc)
+            yield f"bounds {key} omega0={omega0} n={n}", value
+
+
+def _call(f, *args, fields=()) -> str:
+    """The result of ``f(*args)``: a float, or the named fields of a record,
+    or the refusal."""
+    try:
+        out = f(*args)
+    except GWIError as exc:
+        return _refusal(exc)
+    if isinstance(out, float):
+        return out.hex()
+    return " ".join(_value(getattr(out, name)) for name in fields)
+
+
+def closed_form_lines():
+    draws = [*_draws(SEED, BOUND_CASES), *_draws(SEED + 2, ("NI", "SP1"), LINEAR_DRAWS)]
+    for key, params, lam in draws:
+        if key.startswith(("NI", "SP1")):
+            yield f"params {key}", _hex(params.beta_a, params.beta_h,
+                                        params.alpha_a, params.alpha_h)
+        c = Constellation(params, lam)
+        pairs = [c.star, c.upper] + ([] if c.case.exactly_computable else list(c.uppers))
+        for pair in dict.fromkeys(pairs):
+            fp = _call(solve_fixed_point, pair.q, c.weights[0], fields=FIXED_POINT_FIELDS)
+            slope = _call(asymptotic_log_slope, pair, params, lam)
+            yield f"fixed-point {key} {pair.label}", f"{fp} | slope {slope}"
+        for omega0, n in CLOSED_FORM_HORIZONS:
+            yield f"closed-form {key} omega0={omega0} n={n}", " | ".join(
+                _call(f, params, lam, omega0, n, explicit, fields=CLOSED_FORM_FIELDS)
+                for f in (closed_form_lower_terms, closed_form_upper_terms)
+                for explicit in (False, True))
+
+
+def _sde(argv) -> SDEParams:
+    values = dict(zip(argv[::2], map(float, argv[1::2])))
+    return SDEParams(*(values[f"--{name}"] for name in ("eta", "kappa-a", "kappa-h", "sigma",
+                                                         "x0-tilde")))
+
+
+def prelimit_lines():
+    for index, argv in enumerate(_SDE):
+        sde = _sde(argv)
+        for lam in (0.3, 0.5, 0.9):
+            for t in (0.5, 1.0, 10.0):
+                for m in PRELIMIT_MS:
+                    x0_count = max(1, round(m * sde.x0_tilde))
                     try:
-                        report = log_hellinger_bounds(params, lam, omega0, n)
-                        value = f"{_hex(report.log_lower, report.log_upper)} {report.method}"
+                        value = _hex(*prelimit_log_bounds(sde, lam, t, m, x0_count))
                     except GWIError as exc:
-                        value = f"{type(exc).__name__}: {exc}"
-                    yield f"bounds {key} omega0={omega0} n={n}", value
+                        value = _refusal(exc)
+                    yield f"prelimit sde={index} lam={lam} t={t} m={m}", value
 
 
 def _entropy_params():
@@ -198,20 +279,14 @@ def entropy_lines():
         yield f"params {key}", _hex(params.beta_a, params.beta_h, params.alpha_a, params.alpha_h)
         for omega0, n in ENTROPY_HORIZONS:
             for f in (entropy_report, entropy_lower, entropy_upper, exact_entropy):
-                try:
-                    out = f(params, omega0, n)
-                    if isinstance(out, float):
-                        value = out.hex()
-                    else:
-                        value = " ".join(_value(getattr(out, name)) for name in ENTROPY_FIELDS)
-                except GWIError as exc:
-                    value = f"{type(exc).__name__}: {exc}"
+                value = _call(f, params, omega0, n, fields=ENTROPY_FIELDS)
                 yield f"{f.__name__} {key} omega0={omega0} n={n}", value
 
 
 def corpus() -> list[str]:
     return [f"{key}\t{value}"
-            for lines in (cli_lines(), bound_lines(), entropy_lines()) for key, value in lines]
+            for lines in (cli_lines(), bound_lines(), entropy_lines(), closed_form_lines(),
+                          prelimit_lines()) for key, value in lines]
 
 
 if __name__ == "__main__":
