@@ -9,6 +9,7 @@ scale.
 
 from .params import (
     AdmissibilityError,
+    BoundOrderError,
     CaseError,
     CaseTag,
     GWIError,

@@ -5,7 +5,7 @@ to stderr.  Every report repeats the inputs, the case tag and the method
 provenance, and carries values both in log scale and (when representable in
 a double) linear scale.  Errors exit nonzero with a machine-readable error
 object: 2 argument parsing, 3 case/operation mismatch, 4 inadmissible
-approximation step, 5 other invalid input.
+approximation step, 5 other invalid input, 6 crossed bounds (a library fault).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .entropy import entropy_report
 from .oracle import _ROUNDING_CUSHION, TruncationPolicy, enum_log_hellinger, mc_log_hellinger
 from .params import (
     AdmissibilityError,
+    BoundOrderError,
     CaseError,
     GWIError,
     ParamSet,
@@ -496,6 +497,7 @@ _DISPATCH = {
 _ERROR_CODES = (
     (CaseError, 3, "case-mismatch"),
     (AdmissibilityError, 4, "inadmissible-m"),
+    (BoundOrderError, 6, "library-fault"),
     (GWIError, 5, "invalid-input"),
     (ValueError, 5, "invalid-input"),
 )

@@ -13,9 +13,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .fixed_point import FixedPointResult, solve_fixed_point
-from .params import CaseError, CaseTag, GWIError, ParamSet, _initial_population, lambda_weights
-from .recursions import CoefficientPair, Constellation
+from .params import CaseError, CaseTag, ParamSet, _initial_population
+from .recursions import CoefficientPair, _constellation
 
 __all__ = [
     "ClosedFormTerms",
@@ -65,24 +64,14 @@ def _geom_quotient(d1: float, d2: float, n: int) -> float:
     return (d1**n - d2**n) / (d1 - d2)
 
 
-def _solve_for_pair(pair: CoefficientPair, beta_lambda: float) -> FixedPointResult:
-    try:
-        return solve_fixed_point(pair.q, beta_lambda)
-    except GWIError as exc:
-        raise CaseError(
-            "closed-form bounds need a slope q < beta_lambda; the "
-            f"{pair.label} pair has q = {pair.q:.6g} (beta_lambda = {beta_lambda:.6g})"
-        ) from exc
-
-
 def closed_form_lower_terms(
     params: ParamSet, lam: float, omega0: int, n: int, explicit: bool = False
 ) -> ClosedFormTerms:
     """Terms of log C^L_n from the tangent linearization at the fixed point."""
-    c = Constellation(params, lam)
+    c = _constellation(params, lam)
     omega0, n = _initial_population(omega0, n, 1)
     (bl, al), pair = c.weights, c.star
-    fp = _solve_for_pair(pair, bl)
+    fp = c.fixed_point(pair)
     x0 = fp.x0_under if explicit else fp.x0
     d_t = pair.q * math.exp(x0)
     gamma_cap = 0.5 * d_t * x0 * x0
@@ -127,23 +116,17 @@ def closed_form_upper_terms(
     params: ParamSet, lam: float, omega0: int, n: int, explicit: bool = False
 ) -> ClosedFormTerms:
     """Terms of log C^G_n from the secant linearization through the fixed point."""
-    c = Constellation(params, lam)
+    c = _constellation(params, lam)
     omega0, n = _initial_population(omega0, n, 1)
     if c.case in (CaseTag.SP3D, CaseTag.SP4):
         raise CaseError(
             f"no closed-form upper bound on {c.case.value}; only the trivial bound applies"
         )
     (bl, al), pair = c.weights, c.upper
-    fp = _solve_for_pair(pair, bl)
-    fallback = False
-    if explicit:
-        if fp.explicit_unsafe:
-            x0 = fp.x0  # over-approximant unusable, fall back to the solved root
-            fallback = True
-        else:
-            x0 = fp.x0_over
-    else:
-        x0 = fp.x0
+    fp = c.fixed_point(pair)
+    # an unusable over-approximant falls back to the solved root
+    fallback = bool(explicit) and fp.explicit_unsafe
+    x0 = fp.x0_over if explicit and not fallback else fp.x0
     d_t = pair.q * math.exp(x0)
     d_s = (x0 - (pair.q - bl)) / x0
     gamma_cap = 0.5 * d_t * x0 * x0
@@ -187,6 +170,6 @@ def closed_form_log_upper(
 
 def asymptotic_log_slope(pair: CoefficientPair, params: ParamSet, lam: float) -> float:
     """lim (1/n) log of the bound built from ``pair``: (p/q)(x0 + beta_lambda) - alpha_lambda."""
-    bl, al = lambda_weights(params, lam)
-    fp = _solve_for_pair(pair, bl)
-    return pair.p / pair.q * (fp.x0 + bl) - al
+    c = _constellation(params, lam)
+    bl, al = c.weights
+    return pair.p / pair.q * (c.fixed_point(pair).x0 + bl) - al

@@ -25,6 +25,7 @@ from typing import Optional
 from scipy.special import lambertw
 
 from .params import (
+    BoundOrderError,
     CaseError,
     CaseTag,
     GWIError,
@@ -263,7 +264,7 @@ class EntropyReport:
                 raise GWIError(f"entropy {name} is {value}, not a finite double")
         if self.lower is not None and self.upper is not None:
             if _crossed(self.lower, self.upper):
-                raise GWIError("entropy lower bound exceeds upper bound")
+                raise BoundOrderError("entropy lower bound exceeds upper bound")
 
 
 def exact_entropy(params: ParamSet, omega0: int, n: int) -> float:

@@ -51,25 +51,24 @@ def solve_fixed_point(q: float, beta_lambda: float) -> FixedPointResult:
         raise GWIError(
             f"no negative fixed point for q >= beta_lambda (q={q}, beta_lambda={beta_lambda})"
         )
-
-    def g(x: float) -> float:
-        return q * math.exp(x) - beta_lambda - x
-
+    # g(x) = q*e^x - beta_lambda - x, written out where it is evaluated
     lo, hi = -beta_lambda, q - beta_lambda
+    exp = math.exp
     for _ in range(200):
         if hi - lo <= 1e-14:
             break
         mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
+        if q * exp(mid) - beta_lambda - mid > 0.0:
             lo = mid
         else:
             hi = mid
     x0 = 0.5 * (lo + hi)
     for _ in range(2):
-        slope = q * math.exp(x0) - 1.0
-        x0 -= g(x0) / slope
-    if abs(g(x0)) > _RESIDUAL_TOL:
-        raise GWIError(f"fixed-point residual {g(x0):.3e} above tolerance")
+        slope = q * exp(x0) - 1.0
+        x0 -= (q * exp(x0) - beta_lambda - x0) / slope
+    residual = q * exp(x0) - beta_lambda - x0
+    if abs(residual) > _RESIDUAL_TOL:
+        raise GWIError(f"fixed-point residual {residual:.3e} above tolerance")
 
     # under-approximant: root of the h(q)-damped quadratic (below the map)
     if q < 1.0:

@@ -21,6 +21,7 @@ __all__ = [
     "GWIError",
     "CaseError",
     "AdmissibilityError",
+    "BoundOrderError",
     "RATIO_TOL",
     "CaseTag",
     "ParamSet",
@@ -54,6 +55,10 @@ class CaseError(GWIError):
 
 class AdmissibilityError(GWIError):
     """Approximation step m outside the admissible index set."""
+
+
+class BoundOrderError(GWIError):
+    """A report's lower bound came out above its upper bound: a library fault."""
 
 
 class CaseTag(enum.Enum):

@@ -6,9 +6,9 @@ slope) pair that bounds (or equals) the exponent function varphi on the
 nonnegative integers.  The linear constellations NI and SP1 admit exact
 values; everything else gets a lower bound from the geometric-mean pair and
 an upper bound from a family of case-specific linear majorants of phi, of
-which the pointwise minimum is reported.  A :class:`Constellation` turns one
-(params, lambda) into its case, weights and pairs, each derived once; every
-public function here builds one per call.
+which the pointwise minimum is reported.  A :class:`Constellation` derives a
+(params, lambda)'s case, weights, pairs and fixed points once; the public
+functions here and in ``closed_form`` share the last one (``_constellation``).
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional
 
+from .fixed_point import FixedPointResult, solve_fixed_point
 from .params import (
+    BoundOrderError,
     CaseError,
     CaseTag,
     GWIError,
@@ -185,7 +187,7 @@ class Constellation:
     weighted AM-GM where the float geometric mean rounds above the weight.
     Majorants of phi are built, and checked on the lattice, on first use.
     The SP3b/SP3c case pair and the horizontal pair read one lattice peak,
-    ``_peak``, found once per instance.
+    ``_peak``, found once per instance; ``fixed_point`` solves once per slope.
     """
 
     def __init__(self, params: ParamSet, lam: float) -> None:
@@ -197,6 +199,22 @@ class Constellation:
         p_e = _geometric_mean(params.alpha_a, params.alpha_h, self.lam)
         q_e = _geometric_mean(params.beta_a, params.beta_h, self.lam)
         self.star = CoefficientPair(min(p_e, al), min(q_e, bl), role, "geometric-mean")
+        self._fixed_points: dict[tuple, FixedPointResult] = {}
+
+    def fixed_point(self, pair: CoefficientPair) -> FixedPointResult:
+        """The fixed point of x -> q*e^x - beta_lambda, solved once per value and
+        type of ``pair.q``; a slope without one raises on every call."""
+        key = (pair.q, type(pair.q))
+        if key not in self._fixed_points:
+            bl = self.weights[0]
+            try:
+                self._fixed_points[key] = solve_fixed_point(pair.q, bl)
+            except GWIError as exc:
+                raise CaseError(
+                    "closed-form bounds need a slope q < beta_lambda; the "
+                    f"{pair.label} pair has q = {pair.q:.6g} (beta_lambda = {bl:.6g})"
+                ) from exc
+        return self._fixed_points[key]
 
     @cached_property
     def asymptote(self) -> CoefficientPair:
@@ -366,6 +384,21 @@ class Constellation:
                 raise GWIError("separation-constant scan did not terminate")
 
 
+_memo: Optional[Constellation] = None
+
+
+def _constellation(params: ParamSet, lam: float) -> Constellation:
+    """Constellation(params, lam) from a one-slot memo that hits only on this
+    very ParamSet object (an equal one may hold numpy floats or -0.0, and so
+    give results of another type) and the same validated lambda."""
+    global _memo
+    lam = validate_order(lam)
+    c = _memo
+    if c is None or c.params is not params or c.lam != lam:
+        c = _memo = Constellation(params, lam)
+    return c
+
+
 def select_coeffs(params: ParamSet, lam: float, role: CoeffRole) -> CoefficientPair:
     """Case-adapted coefficient selection for the requested role.
 
@@ -374,7 +407,7 @@ def select_coeffs(params: ParamSet, lam: float, role: CoeffRole) -> CoefficientP
     asymptote degenerates on SP4 and the horizontal majorant is informative
     only on SP3a/SP3b/SP3c).
     """
-    c = Constellation(params, lam)
+    c = _constellation(params, lam)
     case = c.case
     if role is CoeffRole.EXACT:
         if not case.exactly_computable:
@@ -397,7 +430,7 @@ def select_coeffs(params: ParamSet, lam: float, role: CoeffRole) -> CoefficientP
 
 def upper_candidates(params: ParamSet, lam: float) -> list[CoefficientPair]:
     """All non-trivial upper-pair constructions applicable to the case."""
-    return list(Constellation(params, lam).uppers)
+    return list(_constellation(params, lam).uppers)
 
 
 @dataclass(frozen=True)
@@ -414,7 +447,8 @@ class LogBoundReport:
         if self.log_upper > 0.0:
             raise GWIError("log_upper must be <= 0 (H <= 1)")
         if _crossed(self.log_lower, self.log_upper):
-            raise GWIError(f"log_lower {self.log_lower!r} exceeds log_upper {self.log_upper!r}")
+            raise BoundOrderError(
+                f"log_lower {self.log_lower!r} exceeds log_upper {self.log_upper!r}")
         if self.log_exact is not None:
             if not self.log_lower <= self.log_exact <= self.log_upper:
                 raise GWIError("exact value must lie between the bounds")
@@ -457,7 +491,7 @@ def exact_log_hellinger(params: ParamSet, lam: float, omega0: int, n: int) -> fl
     geometric-mean slope; the second term vanishes on NI.  Horizon n = 0
     gives 0 (the two restricted laws coincide).
     """
-    c = Constellation(params, lam)
+    c = _constellation(params, lam)
     if not c.case.exactly_computable:
         raise CaseError(f"exact values only exist on NI/SP1 (got {c.case.value}); "
                         "use recursive_log_bounds")
@@ -466,7 +500,7 @@ def exact_log_hellinger(params: ParamSet, lam: float, omega0: int, n: int) -> fl
 
 def sp3d_log_delta(params: ParamSet, lam: float) -> float:
     """log of the SP3d separation constant delta < 1 (see :meth:`Constellation.log_delta`)."""
-    return Constellation(params, lam).log_delta()
+    return _constellation(params, lam).log_delta()
 
 
 def recursive_log_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> LogBoundReport:
@@ -477,7 +511,7 @@ def recursive_log_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     asymptote pair, horizontal pair, the SP3d separation bound) and the
     generally valid bound log 1 = 0.
     """
-    c = Constellation(params, lam)
+    c = _constellation(params, lam)
     if c.case.exactly_computable:
         raise CaseError(f"case {c.case.value} admits exact values; use exact_log_hellinger")
     return _bounds(c, *_initial_population(omega0, n, 1))
@@ -489,7 +523,7 @@ def log_hellinger_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     Horizon 0 gives the trivial exact report for every case (the restricted
     laws coincide, H_0 = 1); omega0 must still be >= 1.
     """
-    c = Constellation(params, lam)
+    c = _constellation(params, lam)
     omega0, n = _initial_population(omega0, n, 0)
     if n == 0:
         return LogBoundReport(log_lower=0.0, log_upper=0.0, log_exact=0.0, method="horizon-0",

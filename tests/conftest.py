@@ -8,9 +8,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gwidiv import GWIError, ParamSet, classify, lambda_weights, run_recursion
+from gwidiv import GWIError, ParamSet, classify, lambda_weights, recursions, run_recursion
 
 ALL_CASES = ("NI", "SP1", "SP2", "SP3a", "SP3b", "SP3c", "SP3d", "SP4")
+
+
+@pytest.fixture(autouse=True)
+def empty_constellation_memo():
+    """Each test starts with no Constellation in the recursions memo, so its
+    call counts do not depend on the test before it."""
+    recursions._memo = None
 
 
 def random_params(rng: np.random.Generator, case: str, lam: float = 0.5,

@@ -215,6 +215,20 @@ class TestErrors:
         assert code == 4
         assert out["error"]["kind"] == "inadmissible-m"
 
+    def test_crossed_report_is_a_library_fault(self, capsys):
+        """The input is valid; the SP2 secant(0,1) slope rounds too low and the
+        report comes out crossed, which used to exit 5 as invalid input."""
+        code, out = run_json(
+            capsys, "hellinger", "--beta-a", "2.603618456914746", "--beta-h",
+            "2.6036184569147456", "--alpha-a", "4.469573356601049", "--alpha-h",
+            "4.469573356601049", "--lambda", "0.3989426784924799", "--omega0", "3",
+            "--n", "85",
+        )
+        assert code == 6
+        assert out == {"error": {
+            "code": 6, "kind": "library-fault",
+            "message": "log_lower -199.42487977684232 exceeds log_upper -201.92816811415585"}}
+
     def test_identical_laws_rejected(self, capsys):
         code, out = run_json(
             capsys, "hellinger", "--beta-a", "0.8", "--beta-h", "0.8",

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from gwidiv import (
+    BoundOrderError,
     CaseError,
     CaseTag,
     EntropyReport,
@@ -237,7 +238,7 @@ class TestEntropyReport:
     def test_order_allowance_is_relative(self):
         """The reports share one allowance, 1e-12 * max(1, |lower|, |upper|)."""
         EntropyReport(lower=1e20 * (1.0 + 5e-13), upper=1e20, case=CaseTag.SP2)
-        with pytest.raises(GWIError, match="exceeds upper bound"):
+        with pytest.raises(BoundOrderError, match="exceeds upper bound"):
             EntropyReport(lower=1e-3 + 1e-10, upper=1e-3, case=CaseTag.SP2)
 
     def test_overflow_names_the_value(self):

@@ -9,8 +9,10 @@ from pathlib import Path
 
 import gwidiv
 
-#: the only modules allowed to import each package, anywhere in the module
-ALLOWED = {"numpy": {"oracle.py"}, "scipy": {"oracle.py", "entropy.py"}}
+#: the only modules allowed to import each package, anywhere in the module;
+#: the test-only packages (reference arithmetic, property tests) by none
+ALLOWED = {"numpy": {"oracle.py"}, "scipy": {"oracle.py", "entropy.py"},
+           "mpmath": set(), "hypothesis": set()}
 
 
 def _imported_packages(path: Path):
@@ -23,6 +25,7 @@ def _imported_packages(path: Path):
 
 
 def test_numpy_and_scipy_stay_behind_the_oracle_and_entropy():
+    """numpy and scipy only where ALLOWED says; mpmath and hypothesis nowhere."""
     importers = {package: set() for package in ALLOWED}
     for path in sorted(Path(gwidiv.__file__).parent.glob("*.py")):
         for package in _imported_packages(path):

@@ -1,5 +1,6 @@
 """Backbone recursions, coefficient selection and recursive bounds."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,15 +8,18 @@ import numpy as np
 import pytest
 
 from gwidiv import (
+    BoundOrderError,
     CaseError,
     CaseTag,
     CoeffRole,
     ParamSet,
+    SDEParams,
     classify,
     enum_log_hellinger,
     exact_log_hellinger,
     lambda_weights,
     log_hellinger_bounds,
+    prelimit_log_bounds,
     recursive_log_bounds,
     run_recursion,
     select_coeffs,
@@ -24,7 +28,9 @@ from gwidiv import (
 )
 from gwidiv.params import GWIError, _geometric_mean, phi_eval, varphi_value
 from gwidiv import recursions
-from gwidiv.closed_form import closed_form_log_lower, closed_form_log_upper
+from gwidiv.closed_form import (asymptotic_log_slope, closed_form_log_lower,
+                                closed_form_log_upper, closed_form_lower_terms,
+                                closed_form_upper_terms)
 from gwidiv.cli import PRESETS
 from gwidiv.recursions import (CoefficientPair, Constellation, LogBoundReport, _floor_x_max,
                                _tail)
@@ -563,31 +569,184 @@ class TestDerivedOnce:
         assert checked == ["secant(0,1)"]
 
     def test_one_classify_per_dispatcher_report(self, rng, monkeypatch):
-        """log_hellinger_bounds hands its one Constellation down on every case."""
+        """log_hellinger_bounds hands its one Constellation down on every case;
+        a repeat on the same ParamSet object takes it from the memo."""
         points = [(random_params(rng, case), 0.5) for case in ALL_CASES]
         points += [(params, lam) for params, lam, _ in FLAT_HUMPS]
-        calls = []
-        real = recursions.classify
-        monkeypatch.setattr(recursions, "classify", lambda *a: calls.append(a) or real(*a))
+        calls = _count(monkeypatch, recursions, "classify")
         for params, lam in points:
             for n in (0, 1, 10):
-                calls.clear()
-                log_hellinger_bounds(params, lam, 3, n)
-                assert len(calls) == 1, (params, n)
+                fresh = dataclasses.replace(params)
+                for expected in (1, 0):
+                    calls.clear()
+                    log_hellinger_bounds(fresh, lam, 3, n)
+                    assert len(calls) == expected, (params, n)
 
     def test_one_classify_per_closed_form(self, rng, monkeypatch):
-        calls = []
-        real = recursions.classify
-        monkeypatch.setattr(recursions, "classify", lambda *a: calls.append(a) or real(*a))
+        calls = _count(monkeypatch, recursions, "classify")
         for case in ALL_CASES[:-1]:
             params = random_params(rng, case)
+            bounds = [closed_form_log_lower] + ([closed_form_log_upper] if case != "SP3d" else [])
+            for bound in bounds:
+                fresh = dataclasses.replace(params)
+                for expected in (1, 0):
+                    calls.clear()
+                    bound(fresh, 0.5, 3, 10)
+                    assert len(calls) == expected, (case, bound.__name__)
+
+    def test_one_classify_per_report(self, rng, monkeypatch):
+        """log_hellinger_bounds and both closed forms on one ParamSet object,
+        as the ``hellinger`` command makes them, classify once."""
+        calls = _count(monkeypatch, recursions, "classify")
+        for case in ALL_CASES:
+            params = random_params(rng, case)
             calls.clear()
-            closed_form_log_lower(params, 0.5, 3, 10)
+            _report(params, 0.5, 3, 10)
             assert len(calls) == 1, case
-            if case != "SP3d":
-                calls.clear()
-                closed_form_log_upper(params, 0.5, 3, 10)
-                assert len(calls) == 1, case
+
+    def test_one_solve_per_slope_in_a_report(self, rng, monkeypatch):
+        """On NI/SP1 both closed forms use the geometric-mean pair: one solve.
+        On SP2-SP3c the lower and upper pairs have two slopes: two solves."""
+        solves = _count(monkeypatch, recursions, "solve_fixed_point")
+        for case, expected in (("NI", 1), ("SP1", 1), ("SP2", 2), ("SP3a", 2), ("SP3b", 2),
+                               ("SP3c", 2)):
+            for _ in range(3):
+                params = random_params(rng, case)
+                solves.clear()
+                _report(params, 0.5, 3, 10)
+                assert len(solves) == expected, (case, params)
+                _report(params, 0.5, 3, 1000)
+                assert len(solves) == expected, (case, params)
+
+    def test_prelimit_classifies_once_and_solves_once(self, monkeypatch):
+        classified = _count(monkeypatch, recursions, "classify")
+        solves = _count(monkeypatch, recursions, "solve_fixed_point")
+        for sde in (SDEParams(0.5, 2.0, 1.0, 1.0, 1.0), SDEParams(1.0, 0.5, 2.0, 1.0, 1.0),
+                    SDEParams(0.0, 0.0, 1.0, 1.0, 2.0)):
+            for m in (10, 1000, 10**6):
+                classified.clear()
+                solves.clear()
+                lower, upper = prelimit_log_bounds(sde, 0.5, 1.0, m, m)
+                assert lower <= upper
+                assert (len(classified), len(solves)) == (1, 1), (sde, m)
+
+
+class TestConstellationMemo:
+    """The public functions share the last Constellation built on the same
+    ParamSet object and lambda; a hit gives what a fresh build gives."""
+
+    def test_hit_equals_fresh_by_hex_and_type(self, rng):
+        for case in ALL_CASES:
+            for _ in range(2):
+                lam = float(rng.uniform(0.2, 0.8))
+                params = random_params(rng, case, lam)
+                calls = _memo_calls(lam, Constellation(params, lam).star)
+                fresh = {}
+                for name, call in calls.items():
+                    recursions._memo = None
+                    fresh[name] = _outcome(call, dataclasses.replace(params))
+                for name, call in calls.items():
+                    # every sibling first, refused ones included (the SP3d and
+                    # SP4 closed-form upper bound, roles the case lacks)
+                    for sibling in calls.values():
+                        same = dataclasses.replace(params)
+                        _outcome(sibling, same)
+                        assert _outcome(call, same) == fresh[name], (case, name)
+                    # a refused call at lambda = 1.5 leaves the memo as it was
+                    same = dataclasses.replace(params)
+                    _outcome(call, same)
+                    with pytest.raises(GWIError, match="order lambda"):
+                        log_hellinger_bounds(same, 1.5, 3, 10)
+                    assert _outcome(call, same) == fresh[name], (case, name)
+
+    def test_equal_params_of_another_type_miss(self, monkeypatch):
+        """Equal ParamSets that are separate objects (numpy fields, -0.0 for
+        0.0) each build their own Constellation and get a fresh build's result."""
+        classified = _count(monkeypatch, recursions, "classify")
+        for fields in ((0.8, 0.6, 2.0, 1.1), (0.8, 0.6, 0.0, 0.0)):
+            variants = (ParamSet(*map(np.float64, fields)), ParamSet(*fields),
+                        ParamSet(*(-0.0 if f == 0.0 else f for f in fields)))
+            assert variants[0] == variants[1] == variants[2]
+            calls = _memo_calls(0.5, Constellation(variants[1], 0.5).star)
+            fresh = []
+            for params in variants:
+                recursions._memo = None
+                fresh.append([_outcome(call, params) for call in calls.values()])
+            assert fresh[0] != fresh[1]  # the types differ
+            recursions._memo = None
+            classified.clear()
+            for params, want in zip(variants, fresh):
+                assert [_outcome(call, params) for call in calls.values()] == want
+            assert len(classified) == 3
+            assert recursions._memo.params is variants[2]
+
+
+    def test_fixed_point_keys_on_the_slope_type(self):
+        """Equal slopes of another type each get their own solve: a numpy
+        slope's x0 is a numpy float and would change the type of a result."""
+        params = ParamSet(0.8, 0.6, 2.0, 1.5)
+        star = Constellation(params, 0.5).star
+        pairs = [dataclasses.replace(star, q=np.float64(star.q)), star]
+        fresh = []
+        for pair in pairs:
+            recursions._memo = None
+            fresh.append(_signature(asymptotic_log_slope(pair, params, 0.5)))
+        assert fresh[0] != fresh[1]
+        recursions._memo = None
+        assert [_signature(asymptotic_log_slope(pair, params, 0.5)) for pair in pairs] == fresh
+
+
+def _memo_calls(lam, star):
+    """The public calls that read the memo, by name, on one ParamSet."""
+    calls = {
+        "bounds": lambda p: log_hellinger_bounds(p, lam, 3, 10),
+        "uppers": lambda p: upper_candidates(p, lam),
+        "slope": lambda p: asymptotic_log_slope(star, p, lam),
+    }
+    for explicit in (False, True):
+        calls[f"lower {explicit}"] = lambda p, e=explicit: closed_form_lower_terms(p, lam, 3, 10, e)
+        calls[f"upper {explicit}"] = lambda p, e=explicit: closed_form_upper_terms(p, lam, 3, 10, e)
+    for role in CoeffRole:
+        calls[f"select {role.value}"] = lambda p, r=role: select_coeffs(p, lam, r)
+    return calls
+
+
+def _signature(value):
+    """The type and float.hex of every number in a result, recursively."""
+    if isinstance(value, float):
+        return type(value).__name__, value.hex()
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(_signature(getattr(value, field.name))
+                                           for field in dataclasses.fields(value))
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, tuple(map(_signature, value))
+    return type(value).__name__, repr(value)
+
+
+def _outcome(call, params):
+    try:
+        return _signature(call(params))
+    except GWIError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _count(monkeypatch, module, name):
+    """Record the calls of ``module.name`` in the returned list."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+def _report(params, lam, omega0, n):
+    """The three calls of one ``hellinger`` report, closed-form refusals kept."""
+    out = [log_hellinger_bounds(params, lam, omega0, n)]
+    for bound in (closed_form_log_lower, closed_form_log_upper):
+        try:
+            out.append(bound(params, lam, omega0, n))
+        except CaseError as exc:
+            out.append(str(exc))
+    return out
 
 
 def test_report_refuses_crossed_bounds():
@@ -595,11 +754,11 @@ def test_report_refuses_crossed_bounds():
     rounds too low and log_lower -199.42 came back above log_upper -201.93."""
     params = ParamSet(2.603618456914746, 2.6036184569147456,
                       4.469573356601049, 4.469573356601049)
-    with pytest.raises(GWIError, match="exceeds log_upper"):
+    with pytest.raises(BoundOrderError, match="exceeds log_upper"):
         log_hellinger_bounds(params, 0.3989426784924799, 3, 85)
     # one rounding allowance, 1e-12 * max(1, |log_lower|, |log_upper|), is kept
     LogBoundReport(-200.0 + 1e-10, -200.0, None, "test", CaseTag.SP2)
-    with pytest.raises(GWIError, match="exceeds log_upper"):
+    with pytest.raises(BoundOrderError, match="exceeds log_upper"):
         LogBoundReport(-200.0 + 1e-9, -200.0, None, "test", CaseTag.SP2)
 
 
