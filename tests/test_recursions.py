@@ -680,7 +680,6 @@ class TestConstellationMemo:
             assert len(classified) == 3
             assert recursions._memo.params is variants[2]
 
-
     def test_fixed_point_keys_on_the_slope_type(self):
         """Equal slopes of another type each get their own solve: a numpy
         slope's x0 is a numpy float and would change the type of a result."""
