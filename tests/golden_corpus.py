@@ -23,7 +23,12 @@ Each line is ``key<TAB>value``.  Four parts:
   ``asymptotic_log_slope`` of each pair, or the refusal, on the SP2-SP3d
   draws above and on ``LINEAR_DRAWS`` seeded NI/SP1 draws per lambda; and
   ``prelimit_log_bounds`` (or the refusal) at the ``_SDE`` points, lambda
-  0.3, 0.5 and 0.9, t 0.5, 1 and 10, for every m in ``PRELIMIT_MS``.
+  0.3, 0.5 and 0.9, t 0.5, 1 and 10, for every m in ``PRELIMIT_MS``;
+* ``optimize_bayes_upper`` (lambda and bound as ``float.hex``, or the
+  refusal) and ``bayes_risk_bounds`` at every lambda in ``LAMBDAS`` on
+  ``DECISION_DRAWS`` seeded draws of all eight cases and on one input whose
+  report crosses, at every n in ``DECISION_NS`` under each of
+  ``DECISION_CONFIGS``.
 
 ``tests/test_golden.py`` recomputes the corpus and compares it with the
 committed ``tests/golden_corpus.txt`` line by line.  To regenerate the file
@@ -43,10 +48,12 @@ import os
 import numpy as np
 
 from gwidiv import (
+    DecisionConfig,
     GWIError,
     ParamSet,
     SDEParams,
     asymptotic_log_slope,
+    bayes_risk_bounds,
     closed_form_lower_terms,
     closed_form_upper_terms,
     entropy_lower,
@@ -54,6 +61,7 @@ from gwidiv import (
     entropy_upper,
     exact_entropy,
     log_hellinger_bounds,
+    optimize_bayes_upper,
     prelimit_log_bounds,
     solve_fixed_point,
 )
@@ -94,6 +102,15 @@ CLOSED_FORM_FIELDS = ("zeta", "vartheta", "main_linear", "main_geometric", "x0_u
 FIXED_POINT_FIELDS = ("x0", "x0_under", "x0_over", "d_t", "d_s", "gamma_cap", "q",
                       "beta_lambda", "explicit_unsafe")
 PRELIMIT_MS = tuple(10**k for k in range(1, 9))
+
+#: draws per case of the decision entries
+DECISION_DRAWS = 2
+DECISION_OMEGA0 = 3
+DECISION_NS = (0, 1, 7, 20)
+DECISION_CONFIGS = (DecisionConfig(), DecisionConfig(loss_a=10.0, loss_h=0.5, prior_h=0.3))
+#: near-identical supercritical SP2 laws whose report crosses at omega0 = 3, n = 85
+CROSSING_POINT = ParamSet(2.603618456914746, 2.6036184569147456,
+                          4.469573356601049, 4.469573356601049)
 
 _SDE = (("--eta", "0.5", "--kappa-a", "2", "--kappa-h", "1", "--sigma", "1", "--x0-tilde", "1"),
         ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1", "--x0-tilde", "1"),
@@ -283,10 +300,40 @@ def entropy_lines():
                 yield f"{f.__name__} {key} omega0={omega0} n={n}", value
 
 
+def _decision_params():
+    rng = np.random.default_rng(SEED + 3)
+    for case in ALL_CASES:
+        for draw in range(DECISION_DRAWS):
+            yield f"{case} draw={draw}", random_params(rng, case), DECISION_NS
+    yield "crossing", CROSSING_POINT, (85,)
+
+
+def decision_lines():
+    omega0 = DECISION_OMEGA0
+    for key, params, ns in _decision_params():
+        yield f"params decision {key}", _hex(params.beta_a, params.beta_h, params.alpha_a,
+                                             params.alpha_h)
+        for index, cfg in enumerate(DECISION_CONFIGS):
+            for n in ns:
+                at = f"{key} cfg={index} omega0={omega0} n={n}"
+                try:
+                    value = " ".join(map(_value, optimize_bayes_upper(params, omega0, n, cfg)))
+                except GWIError as exc:
+                    value = _refusal(exc)
+                yield f"optimize {at}", value
+                risks = []
+                for lam in LAMBDAS:
+                    try:
+                        risks.append(_hex(*bayes_risk_bounds(params, lam, omega0, n, cfg)))
+                    except GWIError as exc:
+                        risks.append(_refusal(exc))
+                yield f"bayes {at}", " | ".join(risks)
+
+
 def corpus() -> list[str]:
     return [f"{key}\t{value}"
             for lines in (cli_lines(), bound_lines(), entropy_lines(), closed_form_lines(),
-                          prelimit_lines()) for key, value in lines]
+                          prelimit_lines(), decision_lines()) for key, value in lines]
 
 
 if __name__ == "__main__":
