@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .params import CaseTag, GWIError, ParamSet, classify, validate_order
-from .recursions import log_hellinger_bounds
+from .params import CaseTag, GWIError, ParamSet, _initial_population, classify, validate_order
+from .recursions import Constellation, _report, log_hellinger_bounds
 
 __all__ = [
     "DistinguishabilityVerdict",
@@ -122,8 +122,7 @@ def bayes_risk_bounds(
     lam = validate_order(lam)
     report = log_hellinger_bounds(params, lam, omega0, n)
     w_a, w_h = cfg.weight_a, cfg.weight_h
-    upper = w_a**lam * w_h ** (1.0 - lam) * math.exp(report.log_upper)
-    upper = min(upper, w_a, w_h)
+    upper = _upper_risk(lam, report.log_upper, w_a, w_h)
 
     exp_a = max(1.0, lam / (1.0 - lam))
     exp_h = max(1.0, (1.0 - lam) / lam)
@@ -138,6 +137,11 @@ def bayes_risk_bounds(
     )
     lower = math.exp(log_lower) if log_lower > -745.0 else 0.0
     return lower, upper
+
+
+def _upper_risk(lam: float, log_upper: float, w_a: float, w_h: float) -> float:
+    """The Bayes upper risk bound w_A^lam w_H^(1-lam) H_up, clamped at min(w_A, w_H)."""
+    return min(w_a**lam * w_h ** (1.0 - lam) * math.exp(log_upper), w_a, w_h)
 
 
 def np_type2_bound(
@@ -162,10 +166,13 @@ def np_type2_bound(
 def optimize_bayes_upper(
     params: ParamSet, omega0: int, n: int, cfg: DecisionConfig
 ) -> tuple[float, float]:
-    """Minimize the Bayes upper bound over LAMBDA_GRID; returns (lam, bound)."""
+    """(lam, bound): bayes_risk_bounds' upper bound at its first argmin over LAMBDA_GRID."""
+    omega0, n = _initial_population(omega0, n, 0)
+    w_a, w_h = cfg.weight_a, cfg.weight_h
     best_lam, best = None, math.inf
     for lam in LAMBDA_GRID:
-        _, upper = bayes_risk_bounds(params, lam, omega0, n, cfg)
+        report = _report(Constellation(params, lam), omega0, n)
+        upper = _upper_risk(lam, report.log_upper, w_a, w_h)
         if upper < best:
             best_lam, best = lam, upper
     return best_lam, best

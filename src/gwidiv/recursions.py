@@ -17,6 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, islice
 from typing import Iterator, NamedTuple, Optional
 
 from .fixed_point import FixedPointResult, solve_fixed_point
@@ -129,9 +130,13 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
         raise GWIError("recursion horizon n must be >= 1")
     if p < 0.0 or q < 0.0:
         raise GWIError("recursion coefficients must be nonnegative")
+    return _fold(p, q, *map(float, lambda_weights(params, lam)), n)  # validates lambda
+
+
+def _fold(p: float, q: float, bl: float, al: float, n: int) -> RecursionTrace:
+    """``run_recursion`` on checked arguments and float weights bl, al."""
     # Python floats throughout: numpy scalars would warn on the inf - inf below.
-    # lambda_weights validates lambda.
-    p, q, (bl, al) = float(p), float(q), map(float, lambda_weights(params, lam))
+    p, q = float(p), float(q)
     a = b_sum = a_sum = comp = 0.0
     exp = math.exp
     for k in range(1, n + 1):
@@ -195,11 +200,13 @@ class Constellation:
         self.lam = validate_order(lam)
         self.case = classify(params, self.lam)
         self.weights = bl, al = lambda_weights(params, self.lam)
+        self._fold_weights = float(bl), float(al)
         role = CoeffRole.EXACT if self.case.exactly_computable else CoeffRole.LOWER
         p_e = _geometric_mean(params.alpha_a, params.alpha_h, self.lam)
         q_e = _geometric_mean(params.beta_a, params.beta_h, self.lam)
         self.star = CoefficientPair(min(p_e, al), min(q_e, bl), role, "geometric-mean")
         self._fixed_points: dict[tuple, FixedPointResult] = {}
+        self._points: list[tuple[float, float]] = []
 
     def fixed_point(self, pair: CoefficientPair) -> FixedPointResult:
         """The fixed point of x -> q*e^x - beta_lambda, solved once per value and
@@ -282,6 +289,13 @@ class Constellation:
             yield phi, varphi
             x += 1.0
 
+    def _walk(self) -> Iterator[tuple[float, float]]:
+        """:meth:`_lattice` from 0, each point evaluated once per instance and kept."""
+        yield from self._points
+        for point in self._lattice(len(self._points)):
+            self._points.append(point)
+            yield point
+
     @cached_property
     def _peak(self) -> tuple[int, float, float]:
         """(j, phi(j), phi(j+1)), j the floor of phi's continuous maximizer:
@@ -294,8 +308,8 @@ class Constellation:
             j = _floor_x_max(params, lam)
         else:
             j = math.floor(params.x_star) if case is CaseTag.SP3C else 0
-        scan = self._lattice(j)
-        return j, next(scan)[0], next(scan)[0]
+        phi_j, phi_j1 = (phi for phi, _ in islice(self._walk(), j, j + 2))
+        return j, phi_j, phi_j1
 
     def _secant_construction(self) -> CoefficientPair:
         """Canonical upper pair for hump-shaped phi (SP3b, SP3c).
@@ -305,11 +319,11 @@ class Constellation:
         that interval by concavity; if its intercept is positive, the flatter
         line through (0, 0) and (j, phi(j)) is used instead.
         """
-        params, lam, (bl, al) = self.params, self.lam, self.weights
+        bl, al = self.weights
         j, phi_j, phi_j1 = self._peak
         if phi_j <= phi_j1:
             j += 1
-            phi_j, phi_j1 = phi_j1, phi_eval(params, lam, float(j + 1)).phi
+            phi_j, phi_j1 = phi_j1, next(islice(self._walk(), j + 1, None))[0]
         slope_sec = phi_j1 - phi_j
         intercept_sec = phi_j - j * slope_sec
         if intercept_sec <= 0.0:
@@ -348,7 +362,7 @@ class Constellation:
             x_check = 2
         else:
             x_check = max(2, math.ceil((r_t - r) / (s - s_t)) + 1)
-        for x, (phi, _) in zip(range(x_check + 1), self._lattice()):
+        for x, (phi, _) in zip(range(x_check + 1), self._walk()):
             if phi > r + s * x + _MAJORANT_TOL:
                 raise GWIError(f"{pair.label} pair fails to dominate phi at x={x}")
         return pair
@@ -366,11 +380,11 @@ class Constellation:
         scan stops (at any x; the crossing point x* plays no part).  The margin
         1e-9*max(1, varphi(x), |best|) is far above the rounding error of g, a
         few ulps of max(1, varphi), so best is also the float a scan over every
-        lattice point would return.  The scan gives up after 10^7 points.
+        lattice point would return.  It keeps no point and gives up after 10^7.
         """
         if self.case is not CaseTag.SP3D:
             raise CaseError(f"separation constant only defined on SP3d, got {self.case.value}")
-        scan = self._lattice()
+        scan = chain(self._points, self._lattice(len(self._points)))
         phi_0, varphi_0 = next(scan)
         eps = 1.0 - math.exp(phi_0)
         best = phi_0 - eps * math.exp(-varphi_0)
@@ -456,7 +470,7 @@ class LogBoundReport:
 
 def _log_end(pair: CoefficientPair, c: Constellation, omega0: int, n: int) -> float:
     """log of exp{a_n*omega0 + sum_{k<=n} b_k} for ``pair`` (no cutoff at 1)."""
-    trace = run_recursion(pair.p, pair.q, c.params, c.lam, n)
+    trace = _fold(pair.p, pair.q, *c._fold_weights, n)
     return trace.a_n * omega0 + trace.b_sum
 
 
@@ -464,12 +478,19 @@ def _exact(c: Constellation, omega0: int, n: int) -> float:
     """The exact log value on checked arguments (n >= 0)."""
     if n == 0:
         return 0.0
-    trace = run_recursion(c.star.p, c.star.q, c.params, c.lam, n)
+    trace = _fold(c.star.p, c.star.q, *c._fold_weights, n)
     return trace.a_n * omega0 + c.params.alpha_a / c.params.beta_a * trace.a_sum
 
 
-def _bounds(c: Constellation, omega0: int, n: int) -> LogBoundReport:
-    """The bound report on checked arguments (n >= 1)."""
+def _report(c: Constellation, omega0: int, n: int) -> LogBoundReport:
+    """The report of :func:`log_hellinger_bounds` on checked arguments (n >= 0)."""
+    if n == 0:
+        return LogBoundReport(log_lower=0.0, log_upper=0.0, log_exact=0.0, method="horizon-0",
+                              case=c.case)
+    if c.case.exactly_computable:
+        value = _exact(c, omega0, n)
+        return LogBoundReport(log_lower=value, log_upper=min(value, 0.0), log_exact=value,
+                              method="exact:geometric-mean", case=c.case)
     log_lower = _log_end(c.star, c, omega0, n)
     best_upper, best_label = 0.0, "cutoff(1)"
     for pair in c.uppers:
@@ -514,7 +535,7 @@ def recursive_log_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     c = _constellation(params, lam)
     if c.case.exactly_computable:
         raise CaseError(f"case {c.case.value} admits exact values; use exact_log_hellinger")
-    return _bounds(c, *_initial_population(omega0, n, 1))
+    return _report(c, *_initial_population(omega0, n, 1))
 
 
 def log_hellinger_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> LogBoundReport:
@@ -523,13 +544,4 @@ def log_hellinger_bounds(params: ParamSet, lam: float, omega0: int, n: int) -> L
     Horizon 0 gives the trivial exact report for every case (the restricted
     laws coincide, H_0 = 1); omega0 must still be >= 1.
     """
-    c = _constellation(params, lam)
-    omega0, n = _initial_population(omega0, n, 0)
-    if n == 0:
-        return LogBoundReport(log_lower=0.0, log_upper=0.0, log_exact=0.0, method="horizon-0",
-                              case=c.case)
-    if not c.case.exactly_computable:
-        return _bounds(c, omega0, n)
-    value = _exact(c, omega0, n)
-    return LogBoundReport(log_lower=value, log_upper=min(value, 0.0), log_exact=value,
-                          method="exact:geometric-mean", case=c.case)
+    return _report(_constellation(params, lam), *_initial_population(omega0, n, 0))
