@@ -36,14 +36,26 @@ after a change that is meant to alter results, run from the repository root
 
     PYTHONPATH=src python tests/golden_corpus.py
 
-and review the diff of ``tests/golden_corpus.txt``.
+and review the diff of ``tests/golden_corpus.txt``.  Before that,
+
+    PYTHONPATH=src python tests/golden_corpus.py --summary
+
+prints, without writing the file, how many lines of each part (the first
+word of a key) changed and the largest relative move of each numeric field
+(a JSON key of CLI output, else the position of a number in the value):
+what a change that states a tolerance has to account for.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
+import json
+import math
 import os
+import re
+from collections import Counter
 
 import numpy as np
 
@@ -336,7 +348,78 @@ def corpus() -> list[str]:
                           prelimit_lines(), decision_lines()) for key, value in lines]
 
 
-if __name__ == "__main__":
+def _leaves(doc, path: str = ""):
+    """(path, number) of every numeric leaf of a JSON document; list indices
+    are left out of the path, so the rows of a table share their fields."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _leaves(value, f"{path}.{key}".lstrip(".") if isinstance(doc, dict)
+                               else path)
+    elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
+        yield path, float(doc)
+
+
+def _numbers(value: str) -> list[tuple[str, float]]:
+    """(field, number) of a corpus value: the JSON leaves of a CLI result,
+    else every hex or decimal token, named by its position."""
+    try:
+        doc = json.loads(value.partition(" ")[2])
+    except ValueError:
+        doc = None
+    if isinstance(doc, (dict, list)):
+        return list(_leaves(doc))
+    numbers = []
+    for token in re.split(r"[\s|,;()]+", value):
+        try:
+            numbers.append(float.fromhex(token) if "0x" in token else float(token))
+        except ValueError:
+            pass
+    return [(f"[{i}]", number) for i, number in enumerate(numbers)]
+
+
+def _relative_move(old: float, new: float) -> float:
+    if old == new or (math.isnan(old) and math.isnan(new)):
+        return 0.0
+    scale = max(abs(old), abs(new))
+    return abs(new - old) / scale if math.isfinite(scale) else math.inf
+
+
+def summary(want: list[str], got: list[str]) -> list[str]:
+    """The changed lines of ``got`` against ``want`` (corpus lines) per part,
+    then the largest relative move of every field that moved.  A line whose
+    fields differ in name or number counts as changed but moves no field."""
+    old, new = (dict(line.split("\t", 1) for line in lines) for lines in (want, got))
+    lines, changed, moves = Counter(), Counter(), {}
+    for key in old.keys() | new.keys():
+        part = key.split(" ", 1)[0]
+        lines[part] += 1
+        if old.get(key) == new.get(key):
+            continue
+        changed[part] += 1
+        before, after = _numbers(old.get(key, "")), _numbers(new.get(key, ""))
+        if [field for field, _ in before] != [field for field, _ in after]:
+            continue
+        for (field, a), (_, b) in zip(before, after):
+            name = f"{part} {field}"
+            moves[name] = max(moves.get(name, 0.0), _relative_move(a, b))
+    out = [f"{part:<16} {changed[part]:>5} of {lines[part]:>5} lines changed"
+           for part in sorted(lines)]
+    out += [f"{name:<40} {move:.3g}" for name, move in sorted(moves.items()) if move]
+    return out
+
+
+def _run(argv=None) -> None:
+    parser = argparse.ArgumentParser(description="regenerate or compare the golden corpus")
+    parser.add_argument("--summary", action="store_true",
+                        help="compare with the committed file instead of rewriting it")
+    if parser.parse_args(argv).summary:
+        with open(PATH) as f:
+            print("\n".join(summary(f.read().splitlines(), corpus())))
+        return
     with open(PATH, "w") as f:
         f.write("\n".join(corpus()) + "\n")
     print(f"wrote {PATH}")
+
+
+if __name__ == "__main__":
+    _run()

@@ -1,10 +1,13 @@
 """Divergence transforms, distinguishability and decision-theoretic bounds."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from gwidiv import (
+    BoundOrderError,
     DecisionConfig,
     GWIError,
     ParamSet,
@@ -14,10 +17,18 @@ from gwidiv import (
     enum_bayes_risk,
     enum_np_type2,
     np_type2_bound,
+    log_hellinger_bounds,
     optimize_bayes_upper,
+    recursions,
 )
+from gwidiv.decisions import LAMBDA_GRID
+from gwidiv.recursions import Constellation
 
-from conftest import random_params
+from conftest import ALL_CASES, random_params
+
+CONFIGS = (DecisionConfig(), DecisionConfig(loss_a=10.0, loss_h=0.5, prior_h=0.3))
+#: near-identical supercritical SP2 laws whose report crosses at omega0 = 3, n = 85
+CROSSING = ParamSet(2.603618456914746, 2.6036184569147456, 4.469573356601049, 4.469573356601049)
 
 
 class TestDivergenceTransforms:
@@ -159,3 +170,103 @@ class TestNPBound:
         cfg = DecisionConfig(level=0.1)
         values = [np_type2_bound(params, 0.5, 1, n, cfg) for n in range(1, 6)]
         assert all(a >= b for a, b in zip(values, values[1:]))
+
+
+def _grid_argmin(params, omega0, n, cfg):
+    """The first argmin over LAMBDA_GRID of bayes_risk_bounds' upper bound."""
+    best_lam, best = None, math.inf
+    for lam in LAMBDA_GRID:
+        upper = bayes_risk_bounds(params, lam, omega0, n, cfg)[1]
+        if upper < best:
+            best_lam, best = lam, upper
+    return best_lam, best
+
+
+def _signature(pair):
+    return tuple((type(v).__name__, v.hex() if isinstance(v, float) else v) for v in pair)
+
+
+def _refusal(call, *args):
+    with pytest.raises(GWIError) as info:
+        call(*args)
+    return type(info.value), str(info.value)
+
+
+class TestOptimizeGridPass:
+    """optimize_bayes_upper is bayes_risk_bounds' upper bound at its first
+    argmin over the grid, refusals included."""
+
+    def test_equals_first_argmin_by_hex_and_type(self, rng):
+        for case in ALL_CASES:
+            fields = dataclasses.astuple(random_params(rng, case))
+            for params in (ParamSet(*map(np.float64, fields)), ParamSet(*map(float, fields))):
+                for cfg in CONFIGS:
+                    for omega0, n in ((1, 0), (3, 1), (2, 7)):
+                        got = optimize_bayes_upper(params, omega0, n, cfg)
+                        want = _grid_argmin(params, omega0, n, cfg)
+                        assert _signature(got) == _signature(want), (case, params, n)
+
+    def test_crossing_input_refuses_as_bayes_risk_bounds(self):
+        cfg = DecisionConfig()
+        got = _refusal(optimize_bayes_upper, CROSSING, 3, 85, cfg)
+        assert got == _refusal(_grid_argmin, CROSSING, 3, 85, cfg)
+        # the first grid order already crosses
+        assert got == _refusal(log_hellinger_bounds, CROSSING, 0.01, 3, 85)
+        assert got[0] is BoundOrderError
+
+    def test_initial_population_is_refused_before_any_order(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(recursions.Constellation, "__init__",
+                            _recorder(built, recursions.Constellation.__init__))
+        params = ParamSet(0.8, 0.6, 2.0, 1.1)
+        for omega0, n in ((0, 5), (1, 2.5)):
+            built.clear()
+            got = _refusal(optimize_bayes_upper, params, omega0, n, DecisionConfig())
+            assert not built
+            assert got == _refusal(_grid_argmin, params, omega0, n, DecisionConfig())
+
+
+class TestOptimizeDerivesOnce:
+    """One optimize call builds one Constellation per grid order outside the
+    memo, folds without the public run_recursion and reads each lattice
+    point of a Constellation once."""
+
+    def test_counts(self, rng, monkeypatch):
+        built, classified, public = [], [], []
+        monkeypatch.setattr(Constellation, "__init__", _recorder(built, Constellation.__init__))
+        monkeypatch.setattr(recursions, "classify", _recorder(classified, recursions.classify))
+        monkeypatch.setattr(recursions, "run_recursion",
+                            _recorder(public, recursions.run_recursion))
+        points = {}
+        real = Constellation._lattice
+
+        def lattice(self, start=0):
+            for x, point in enumerate(real(self, start), start):
+                points.setdefault(self, []).append(x)
+                yield point
+
+        monkeypatch.setattr(Constellation, "_lattice", lattice)
+        for case in ALL_CASES:
+            params = random_params(rng, case)
+            for n in (0, 7):
+                built.clear(), classified.clear(), points.clear()
+                optimize_bayes_upper(params, 2, n, DecisionConfig())
+                assert (len(built), len(classified), len(public)) == (99, 99, 0), case
+                for xs in points.values():
+                    assert len(xs) == len(set(xs)), (case, sorted(xs))
+                if n and case in ("SP2", "SP3a", "SP3b", "SP3c", "SP3d"):
+                    assert points, case
+
+    def test_memo_is_left_as_it_was(self, rng):
+        params = random_params(rng, "SP3c")
+        optimize_bayes_upper(params, 2, 7, DecisionConfig())
+        assert recursions._memo is None
+        log_hellinger_bounds(params, 0.5, 2, 7)
+        before = recursions._memo
+        optimize_bayes_upper(params, 2, 7, DecisionConfig())
+        assert recursions._memo is before
+
+
+def _recorder(calls, real):
+    """``real``, recording its arguments in ``calls``."""
+    return lambda *args: calls.append(args) or real(*args)
