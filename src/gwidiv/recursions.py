@@ -380,7 +380,7 @@ class Constellation:
         scan stops (at any x; the crossing point x* plays no part).  The margin
         1e-9*max(1, varphi(x), |best|) is far above the rounding error of g, a
         few ulps of max(1, varphi), so best is also the float a scan over every
-        lattice point would return.  It keeps no point and gives up after 10^7.
+        lattice point would return.  It reuses kept points, keeps none and stops after 10^7.
         """
         if self.case is not CaseTag.SP3D:
             raise CaseError(f"separation constant only defined on SP3d, got {self.case.value}")
