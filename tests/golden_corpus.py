@@ -351,10 +351,12 @@ def corpus() -> list[str]:
 def _leaves(doc, path: str = ""):
     """(path, number) of every numeric leaf of a JSON document; list indices
     are left out of the path, so the rows of a table share their fields."""
-    if isinstance(doc, (dict, list)):
-        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-            yield from _leaves(value, f"{path}.{key}".lstrip(".") if isinstance(doc, dict)
-                               else path)
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _leaves(value, path)
     elif isinstance(doc, (int, float)) and not isinstance(doc, bool):
         yield path, float(doc)
 

@@ -249,7 +249,8 @@ class TestOptimizeDerivesOnce:
         for case in ALL_CASES:
             params = random_params(rng, case)
             for n in (0, 7):
-                built.clear(), classified.clear(), points.clear()
+                for record in (built, classified, points):
+                    record.clear()
                 optimize_bayes_upper(params, 2, n, DecisionConfig())
                 assert (len(built), len(classified), len(public)) == (99, 99, 0), case
                 for xs in points.values():
