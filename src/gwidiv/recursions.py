@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import islice
 from typing import Iterator, NamedTuple, Optional
 
 from .fixed_point import FixedPointResult, solve_fixed_point
@@ -54,6 +54,9 @@ __all__ = [
 
 #: how far below phi a candidate majorant may pass on the lattice
 _MAJORANT_TOL = 1e-9
+
+#: lattice points of phi a Constellation keeps for reuse; later ones are streamed
+_KEPT = 64
 
 #: the cases where the horizontal majorant of phi is informative
 _HUMP_CASES = (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C)
@@ -289,12 +292,16 @@ class Constellation:
             yield phi, varphi
             x += 1.0
 
-    def _walk(self) -> Iterator[tuple[float, float]]:
-        """:meth:`_lattice` from 0, each point evaluated once per instance and kept."""
-        yield from self._points
-        for point in self._lattice(len(self._points)):
-            self._points.append(point)
-            yield point
+    def _walk(self, start: int = 0) -> Iterator[tuple[float, float]]:
+        """:meth:`_lattice` from ``start``, the points below ``_KEPT`` evaluated once and kept."""
+        points = self._points
+        if start < _KEPT:
+            yield from islice(points, start, None)
+            for point in islice(self._lattice(len(points)), _KEPT - len(points)):
+                points.append(point)
+                if len(points) > start:
+                    yield point
+        yield from self._lattice(max(start, _KEPT))
 
     @cached_property
     def _peak(self) -> tuple[int, float, float]:
@@ -308,8 +315,8 @@ class Constellation:
             j = _floor_x_max(params, lam)
         else:
             j = math.floor(params.x_star) if case is CaseTag.SP3C else 0
-        phi_j, phi_j1 = (phi for phi, _ in islice(self._walk(), j, j + 2))
-        return j, phi_j, phi_j1
+        scan = self._walk(j)
+        return j, next(scan)[0], next(scan)[0]
 
     def _secant_construction(self) -> CoefficientPair:
         """Canonical upper pair for hump-shaped phi (SP3b, SP3c).
@@ -323,7 +330,7 @@ class Constellation:
         j, phi_j, phi_j1 = self._peak
         if phi_j <= phi_j1:
             j += 1
-            phi_j, phi_j1 = phi_j1, next(islice(self._walk(), j + 1, None))[0]
+            phi_j, phi_j1 = phi_j1, next(self._walk(j + 1))[0]
         slope_sec = phi_j1 - phi_j
         intercept_sec = phi_j - j * slope_sec
         if intercept_sec <= 0.0:
@@ -380,11 +387,11 @@ class Constellation:
         scan stops (at any x; the crossing point x* plays no part).  The margin
         1e-9*max(1, varphi(x), |best|) is far above the rounding error of g, a
         few ulps of max(1, varphi), so best is also the float a scan over every
-        lattice point would return.  It reuses kept points, keeps none and stops after 10^7.
+        lattice point would return.  The scan gives up after 10^7 points.
         """
         if self.case is not CaseTag.SP3D:
             raise CaseError(f"separation constant only defined on SP3d, got {self.case.value}")
-        scan = chain(self._points, self._lattice(len(self._points)))
+        scan = self._walk()
         phi_0, varphi_0 = next(scan)
         eps = 1.0 - math.exp(phi_0)
         best = phi_0 - eps * math.exp(-varphi_0)

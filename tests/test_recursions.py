@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from fractions import Fraction
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -525,6 +526,51 @@ class TestLatticeScansMatchReference:
         report = log_hellinger_bounds(params, 0.5, 1, 10)
         assert report.case is CaseTag.SP3D
         assert report.log_lower <= report.log_upper <= 0.0
+
+
+#: SP3c with offspring means 1e-9 apart: x* is near 1e9, and every majorant
+#: check falls back to X_check = 2
+TINY_GAP = ParamSet(1.000000001, 1.0, 1.0, 2.0)
+
+#: peaks and majorant checks far beyond the kept prefix: SP3c (x* = 10^4),
+#: SP3b (peaks near 100 and 700) and SP3d
+FAR_LATTICES = [(1.001, 1.0, 1.0, 11.0), (0.8, 0.6, 30.0, 2.0), (0.6, 0.8, 2.0, 200.0),
+                (1.2, 1.0, 1.0, 300.0)]
+
+
+class TestKeptLattice:
+    """A Constellation keeps at most ``_KEPT`` lattice points, whatever its
+    peak or check length, and reading them back changes no value."""
+
+    def test_walk_is_the_lattice(self, rng):
+        c = Constellation(random_params(rng, "SP3c", 0.5), 0.5)
+        for start in (5, 0, 2, 63, 64, 100):
+            assert list(islice(c._walk(start), 80)) == list(islice(c._lattice(start), 80))
+            assert len(c._points) <= recursions._KEPT
+
+    def test_far_peak_is_read_without_the_points_below_it(self):
+        c = Constellation(TINY_GAP, 0.5)
+        assert c.case is CaseTag.SP3C and c._peak[0] == 999999917
+        with pytest.raises(GWIError, match=r"intercept of secant\(999999918,999999919\) pair"):
+            c.uppers
+        assert c._points == []
+        report = log_hellinger_bounds(TINY_GAP, 0.1, 1, 10)
+        assert report.method == "lower:geometric-mean upper:cutoff(1)"
+        assert len(recursions._memo._points) <= 3
+
+    @pytest.mark.parametrize("fields", FAR_LATTICES)
+    def test_far_lattices_match_a_streamed_lattice(self, fields, monkeypatch):
+        params = ParamSet(*fields)
+        for lam in (0.1, 0.5, 0.9):
+            c = Constellation(params, lam)
+            kept = _outcome(lambda p: recursions._report(c, 2, 7), params)
+            assert len(c._points) == recursions._KEPT
+            with monkeypatch.context() as m:
+                m.setattr(recursions, "_KEPT", 0)
+                c = Constellation(params, lam)
+                streamed = _outcome(lambda p: recursions._report(c, 2, 7), params)
+                assert c._points == []
+            assert kept == streamed, (fields, lam)
 
 
 class TestDerivedOnce:
