@@ -1,6 +1,6 @@
 """Golden corpus: exact outputs that a change meant to keep results must keep.
 
-Each line is ``key<TAB>value``.  Four parts:
+Each line is ``key<TAB>value``.  The parts:
 
 * the standard output and exit code of ``gwidiv.cli.main`` run in process
   for every preset, for ``classify`` and, at n in ``CLI_NS``, for
@@ -28,7 +28,10 @@ Each line is ``key<TAB>value``.  Four parts:
   refusal) and ``bayes_risk_bounds`` at every lambda in ``LAMBDAS`` on
   ``DECISION_DRAWS`` seeded draws of all eight cases and on one input whose
   report crosses, at every n in ``DECISION_NS`` under each of
-  ``DECISION_CONFIGS``.
+  ``DECISION_CONFIGS``;
+* the ``--help`` text of ``gwidiv`` and of each command in ``COMMANDS``,
+  at ``COLUMNS`` 80, and the ``--format csv`` output of every command but
+  ``sweep`` on one preset, error object included.
 
 ``tests/test_golden.py`` recomputes the corpus and compares it with the
 committed ``tests/golden_corpus.txt`` line by line.  To regenerate the file
@@ -56,6 +59,7 @@ import math
 import os
 import re
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 
@@ -130,9 +134,15 @@ _SDE = (("--eta", "0.5", "--kappa-a", "2", "--kappa-h", "1", "--sigma", "1", "--
 
 
 def _cli(argv: list[str]) -> str:
+    """Exit code and stdout of ``main(argv)``; ``--help`` exits through
+    argparse's ``SystemExit``, and wraps its text at 80 columns."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return f"{code} {out.getvalue()}".rstrip("\n").replace("\n", "\\n")
 
 
@@ -204,6 +214,29 @@ def _other_cli_lines():
         ]
     for argv in argvs:
         yield "cli " + " ".join(argv), _cli(argv)
+
+
+COMMANDS = ("classify", "hellinger", "divergence", "entropy", "diffusion", "bayes", "nptest",
+            "verify", "simulate", "sweep")
+
+
+def surface_lines():
+    for command in ("", *COMMANDS):
+        yield f"surface help {command or 'gwidiv'}", _cli([command, "--help"] if command
+                                                          else ["--help"])
+    preset = ["--preset", "a7-sp3b"]
+    argvs = [["classify", *preset]]
+    argvs += [[command, *preset, "--n", "5"] for command in CLI_COMMANDS]
+    argvs += [
+        ["diffusion", *_SDE[0], "--lambda", "0.5", "--t", "1", "--m", "100"],
+        ["verify", *preset, "--n", "1"],
+        ["simulate", *preset, "--n", "1", "--reps", "1000"],
+        ["hellinger", *preset, "--n", "0"],
+        ["hellinger", *preset, "--n", "5", "--method", "exact"],
+    ]
+    for argv in argvs:
+        argv += ["--format", "csv"]
+        yield "surface " + " ".join(argv), _cli(argv)
 
 
 def _refusal(exc: GWIError) -> str:
@@ -345,7 +378,8 @@ def decision_lines():
 def corpus() -> list[str]:
     return [f"{key}\t{value}"
             for lines in (cli_lines(), bound_lines(), entropy_lines(), closed_form_lines(),
-                          prelimit_lines(), decision_lines()) for key, value in lines]
+                          prelimit_lines(), decision_lines(), surface_lines())
+            for key, value in lines]
 
 
 def _leaves(doc, path: str = ""):
