@@ -1,21 +1,24 @@
 """Command-line front end: classify, compute, sweep, verify, simulate.
 
-Single results are emitted as JSON on stdout, sweeps as CSV; diagnostics go
-to stderr.  Every report repeats the inputs, the case tag and the method
-provenance, and carries values both in log scale and (when representable in
-a double) linear scale.  Errors exit nonzero with a machine-readable error
-object: 2 argument parsing, 3 case/operation mismatch, 4 inadmissible
-approximation step, 5 other invalid input, 6 crossed bounds (a library fault).
+Every command returns one result, printed one way: as JSON on stdout, or
+with ``--format csv`` as a table, a sweep's rows or else the result's one
+flattened row (sweeps default to CSV); diagnostics go to stderr.  Every
+report repeats the inputs, the case tag and the method provenance, and
+carries values both in log scale and (when representable in a double)
+linear scale.  Errors exit nonzero with a machine-readable error object:
+2 argument parsing, 3 case/operation mismatch, 4 inadmissible approximation
+step, 5 other invalid input (a result holding a non-finite number among
+them), 6 crossed bounds (a library fault).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
+from dataclasses import asdict
 from typing import Optional, Sequence
 
 from .closed_form import closed_form_log_lower, closed_form_log_upper
@@ -106,17 +109,10 @@ def _params_from(args: argparse.Namespace, need_lambda: bool = True):
     return ParamSet(*values), lam
 
 
-def _inputs_dict(args: argparse.Namespace, params: ParamSet, lam=None, **extra) -> dict:
-    inputs = {
-        "beta_a": params.beta_a,
-        "beta_h": params.beta_h,
-        "alpha_a": params.alpha_a,
-        "alpha_h": params.alpha_h,
-    }
-    if lam is not None:
-        inputs["lambda"] = lam
-    inputs.update({k: v for k, v in extra.items() if v is not None})
-    return inputs
+def _inputs_dict(params: ParamSet, lam=None, **extra) -> dict:
+    """The four parameters, then lambda and the extras that are given."""
+    inputs = {**asdict(params), "lambda": lam, **extra}
+    return {k: v for k, v in inputs.items() if v is not None}
 
 
 def _hellinger_payload(params: ParamSet, lam: float, omega0: int, n: int,
@@ -131,43 +127,28 @@ def _hellinger_payload(params: ParamSet, lam: float, omega0: int, n: int,
         "hellinger_upper": _linear(report.log_upper),
         "hellinger_exact": _linear(report.log_exact),
     }
-    if n >= 1:
+    for key, bound in (("log_closed_form_lower", closed_form_log_lower),
+                       ("log_closed_form_upper", closed_form_log_upper)):
         try:
-            payload["log_closed_form_lower"] = closed_form_log_lower(params, lam, omega0, n)
+            payload[key] = bound(params, lam, omega0, n)
         except CaseError:
-            payload["log_closed_form_lower"] = None
-        try:
-            payload["log_closed_form_upper"] = closed_form_log_upper(params, lam, omega0, n)
-        except CaseError:
-            payload["log_closed_form_upper"] = None
+            payload[key] = None
     return payload
 
 
 def _cmd_classify(args) -> dict:
     params, lam = _params_from(args)
-    details = case_details(params, lam)
-    out = {
-        "command": "classify",
-        "inputs": _inputs_dict(args, params, lam),
-    }
-    out.update(details)
-    return out
+    return {"inputs": _inputs_dict(params, lam), **case_details(params, lam)}
 
 
 def _cmd_hellinger(args) -> dict:
     params, lam = _params_from(args)
-    out = {
-        "command": "hellinger",
-        "inputs": _inputs_dict(args, params, lam, omega0=args.omega0, n=args.n),
-    }
+    out = {"inputs": _inputs_dict(params, lam, omega0=args.omega0, n=args.n)}
     if args.n == 0:
         # the trivial report, after log_hellinger_bounds has checked omega0
         report = log_hellinger_bounds(params, lam, args.omega0, 0)
-        out.update(
-            {"case": report.case.value, "log_exact": 0.0, "hellinger_exact": 1.0,
-             "log_lower": 0.0, "log_upper": 0.0, "method": report.method}
-        )
-        return out
+        return {**out, "case": report.case.value, "log_exact": 0.0, "hellinger_exact": 1.0,
+                "log_lower": 0.0, "log_upper": 0.0, "method": report.method}
     if args.method == "exact" and not classify(params, lam).exactly_computable:
         # raises its CaseError (exit code 3) before computing anything
         exact_log_hellinger(params, lam, args.omega0, args.n)
@@ -175,8 +156,7 @@ def _cmd_hellinger(args) -> dict:
     # its report is the one log_hellinger_bounds returns
     compute = recursive_log_bounds if args.method == "bounds" else log_hellinger_bounds
     report = compute(params, lam, args.omega0, args.n)
-    out.update(_hellinger_payload(params, lam, args.omega0, args.n, report))
-    return out
+    return {**out, **_hellinger_payload(params, lam, args.omega0, args.n, report)}
 
 
 def _cmd_divergence(args) -> dict:
@@ -186,8 +166,7 @@ def _cmd_divergence(args) -> dict:
     power_lo, renyi_lo = divergence_from_log_hellinger(report.log_upper, lam)
     power_hi, renyi_hi = divergence_from_log_hellinger(report.log_lower, lam)
     out = {
-        "command": "divergence",
-        "inputs": _inputs_dict(args, params, lam, omega0=args.omega0, n=args.n),
+        "inputs": _inputs_dict(params, lam, omega0=args.omega0, n=args.n),
         "case": report.case.value,
         "method": report.method,
         "power_divergence_lower": power_lo,
@@ -199,12 +178,7 @@ def _cmd_divergence(args) -> dict:
         power, renyi = divergence_from_log_hellinger(report.log_exact, lam)
         out["power_divergence_exact"] = power
         out["renyi_divergence_exact"] = renyi
-    verdict = distinguishability(params)
-    out["distinguishability"] = {
-        "contiguous_a_to_h": verdict.contiguous_a_to_h,
-        "contiguous_h_to_a": verdict.contiguous_h_to_a,
-        "entirely_separated": verdict.entirely_separated,
-    }
+    out["distinguishability"] = asdict(distinguishability(params))
     return out
 
 
@@ -212,8 +186,7 @@ def _cmd_entropy(args) -> dict:
     params, _ = _params_from(args, need_lambda=False)
     report = entropy_report(params, args.omega0, args.n)
     return {
-        "command": "entropy",
-        "inputs": _inputs_dict(args, params, omega0=args.omega0, n=args.n),
+        "inputs": _inputs_dict(params, omega0=args.omega0, n=args.n),
         "case": report.case.value,
         "exact": report.exact,
         "upper": report.upper,
@@ -233,6 +206,11 @@ def _cmd_entropy(args) -> dict:
 
 
 _SDE_FLAGS = ("--eta", "--kappa-a", "--kappa-h", "--sigma", "--x0-tilde")
+
+
+def _add_sde_args(sub: argparse.ArgumentParser) -> None:
+    for flag in _SDE_FLAGS:
+        sub.add_argument(flag, type=float)
 
 
 def _sde_from(args) -> SDEParams:
@@ -255,12 +233,7 @@ def _cmd_diffusion(args) -> dict:
     sde = _sde_from(args)
     log_lo, log_hi = limit_log_bounds(sde, args.lam, args.t)
     out = {
-        "command": "diffusion",
-        "inputs": {
-            "eta": sde.eta, "kappa_a": sde.kappa_a, "kappa_h": sde.kappa_h,
-            "sigma": sde.sigma, "x0_tilde": sde.x0_tilde, "lambda": args.lam,
-            "t": args.t,
-        },
+        "inputs": {**asdict(sde), "lambda": args.lam, "t": args.t},
         "log_limit_lower": log_lo,
         "log_limit_upper": log_hi,
         "limit_lower": _linear(log_lo),
@@ -292,11 +265,8 @@ def _cmd_bayes(args) -> dict:
     cfg = _decision_cfg(args)
     lower, upper = bayes_risk_bounds(params, lam, args.omega0, args.n, cfg)
     return {
-        "command": "bayes",
-        "inputs": _inputs_dict(
-            args, params, lam, omega0=args.omega0, n=args.n,
-            loss_a=cfg.loss_a, loss_h=cfg.loss_h, prior_h=cfg.prior_h,
-        ),
+        "inputs": _inputs_dict(params, lam, omega0=args.omega0, n=args.n, loss_a=cfg.loss_a,
+                               loss_h=cfg.loss_h, prior_h=cfg.prior_h),
         "case": classify(params, lam).value,
         "bayes_risk_lower": lower,
         "bayes_risk_upper": upper,
@@ -309,10 +279,7 @@ def _cmd_nptest(args) -> dict:
     cfg = _decision_cfg(args)
     bound = np_type2_bound(params, lam, args.omega0, args.n, cfg)
     return {
-        "command": "nptest",
-        "inputs": _inputs_dict(
-            args, params, lam, omega0=args.omega0, n=args.n, level=cfg.level
-        ),
+        "inputs": _inputs_dict(params, lam, omega0=args.omega0, n=args.n, level=cfg.level),
         "case": classify(params, lam).value,
         "type2_error_bound": bound,
         "method": "Hellinger order 1-lambda upper bound",
@@ -328,10 +295,8 @@ def _cmd_verify(args) -> dict:
     slack = _ROUNDING_CUSHION * enum_hi
     case = classify(params, lam)
     out = {
-        "command": "verify",
-        "inputs": _inputs_dict(
-            args, params, lam, omega0=args.omega0, n=args.n, tail_budget=args.tail_budget
-        ),
+        "inputs": _inputs_dict(params, lam, omega0=args.omega0, n=args.n,
+                               tail_budget=args.tail_budget),
         "case": case.value,
         "log_enum": log_enum,
         "certified_error": err,
@@ -357,11 +322,8 @@ def _cmd_simulate(args) -> dict:
         params, lam, args.omega0, args.n, args.reps, args.seed
     )
     return {
-        "command": "simulate",
-        "inputs": _inputs_dict(
-            args, params, lam, omega0=args.omega0, n=args.n,
-            reps=args.reps, seed=args.seed,
-        ),
+        "inputs": _inputs_dict(params, lam, omega0=args.omega0, n=args.n, reps=args.reps,
+                               seed=args.seed),
         "case": classify(params, lam).value,
         "log_estimate": estimate,
         "std_error_log": std_error,
@@ -371,30 +333,25 @@ def _cmd_simulate(args) -> dict:
 
 
 def _parse_grid(spec: str, integer: bool) -> list:
+    """start:stop[:step], stop included, of integers (step 1 by default), or
+    start:stop[:count], count evenly spaced floats (50 by default)."""
     parts = spec.split(":")
+    if len(parts) not in (2, 3):
+        raise GWIError("integer grid must be start:stop[:step]" if integer
+                       else "grid must be start:stop[:count]")
+    start, stop = map(int if integer else float, parts[:2])
+    third = int(parts[2]) if len(parts) == 3 else 1 if integer else 50
     if integer:
-        if len(parts) == 2:
-            start, stop, step = int(parts[0]), int(parts[1]), 1
-        elif len(parts) == 3:
-            start, stop, step = int(parts[0]), int(parts[1]), int(parts[2])
-        else:
-            raise GWIError("integer grid must be start:stop[:step]")
-        if step < 1 or stop < start:
+        if third < 1 or stop < start:
             raise GWIError("bad integer grid")
-        return list(range(start, stop + 1, step))
-    if len(parts) == 2:
-        start, stop, count = float(parts[0]), float(parts[1]), 50
-    elif len(parts) == 3:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-    else:
-        raise GWIError("grid must be start:stop[:count]")
-    if count < 2 or stop <= start:
+        return list(range(start, stop + 1, third))
+    if third < 2 or stop <= start:
         raise GWIError("bad grid")
-    width = (stop - start) / (count - 1)
-    return [start + i * width for i in range(count)]
+    width = (stop - start) / (third - 1)
+    return [start + i * width for i in range(third)]
 
 
-def _cmd_sweep(args) -> tuple[list[str], list[list]]:
+def _cmd_sweep(args) -> dict:
     rows: list[list] = []
     if args.axis in ("lambda", "n"):
         on_n = args.axis == "n"
@@ -404,22 +361,20 @@ def _cmd_sweep(args) -> tuple[list[str], list[list]]:
             report = log_hellinger_bounds(params, lam_k, args.omega0, n_k)
             rows.append([value, report.case.value, report.log_lower,
                          report.log_upper, report.log_exact])
-        return [args.axis, "case", "log_lower", "log_upper", "log_exact"], rows
+        return {"header": [args.axis, "case", "log_lower", "log_upper", "log_exact"],
+                "rows": rows}
     sde = _sde_from(args)
     if args.axis == "t":
-        grid = _parse_grid(args.grid, integer=False)
-        header = ["t", "log_limit_lower", "log_limit_upper", "limit_entropy"]
-        for value in grid:
+        for value in _parse_grid(args.grid, integer=False):
             lo, hi = limit_log_bounds(sde, args.lam, value)
             rows.append([value, lo, hi, limit_entropy(sde, value)])
-        return header, rows
-    # axis == "m"
-    grid = _parse_grid(args.grid, integer=True)
-    header = ["m", "horizon", "log_prelimit_lower", "log_prelimit_upper"]
-    for value in grid:
+        return {"header": ["t", "log_limit_lower", "log_limit_upper", "limit_entropy"],
+                "rows": rows}
+    for value in _parse_grid(args.grid, integer=True):  # axis == "m"
         lo, hi = prelimit_log_bounds(sde, args.lam, args.t, value, _x0_count(args, sde, value))
         rows.append([value, time_horizon(sde, value, args.t), lo, hi])
-    return header, rows
+    return {"header": ["m", "horizon", "log_prelimit_lower", "log_prelimit_upper"],
+            "rows": rows}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -446,8 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common("entropy", with_lambda=False)
 
     p = sub.add_parser("diffusion")
-    for flag in _SDE_FLAGS:
-        p.add_argument(flag, type=float)
+    _add_sde_args(p)
     p.add_argument("--lambda", dest="lam", type=float)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--m", type=int)
@@ -474,8 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--axis", choices=("lambda", "n", "t", "m"), required=True)
     p.add_argument("--grid", required=True, help="start:stop[:count|:step]")
-    for flag in _SDE_FLAGS:
-        p.add_argument(flag, type=float)
+    _add_sde_args(p)
     p.add_argument("--t", type=float, default=1.0)
     p.add_argument("--x0-count", type=int)
     p.add_argument("--format", choices=("json", "csv"), default="csv")
@@ -492,54 +445,44 @@ _DISPATCH = {
     "nptest": _cmd_nptest,
     "verify": _cmd_verify,
     "simulate": _cmd_simulate,
+    "sweep": _cmd_sweep,
 }
 
+#: the first match wins; every GWIError is a ValueError
 _ERROR_CODES = (
     (CaseError, 3, "case-mismatch"),
     (AdmissibilityError, 4, "inadmissible-m"),
     (BoundOrderError, 6, "library-fault"),
-    (GWIError, 5, "invalid-input"),
     (ValueError, 5, "invalid-input"),
 )
 
 
-def _emit_csv(header: list[str], rows: list[list], stream) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        result = {"command": args.command, **_DISPATCH[args.command](args)}
+        if "rows" in result:
+            header, rows = result["header"], result["rows"]
+        else:
+            flat = _flatten(result)
+            header, rows = list(flat), [list(flat.values())]
+        for row in rows:
+            for name, value in zip(header, row):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise GWIError(f"{name} is {value}, not a finite double")
+    except ValueError as exc:
+        code, kind = next((code, kind) for exc_type, code, kind in _ERROR_CODES
+                          if isinstance(exc, exc_type))
+        print(json.dumps({"error": {"code": code, "kind": kind, "message": str(exc)}}))
+        print(f"gwidiv: error: {exc}", file=sys.stderr)
+        return code
+    if args.format == "json":
+        print(json.dumps(result, sort_keys=True))
+        return 0
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    for row in [header, *rows]:
         writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v
                          for v in row])
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        if args.command == "sweep":
-            header, rows = _cmd_sweep(args)
-            if args.format == "json":
-                payload = {"command": "sweep", "header": header, "rows": rows}
-                print(json.dumps(payload, sort_keys=True))
-            else:
-                buffer = io.StringIO()
-                _emit_csv(header, rows, buffer)
-                sys.stdout.write(buffer.getvalue())
-            return 0
-        result = _DISPATCH[args.command](args)
-    except tuple(exc for exc, _, _ in _ERROR_CODES) as exc:
-        for exc_type, code, kind in _ERROR_CODES:
-            if isinstance(exc, exc_type):
-                print(json.dumps({"error": {"code": code, "kind": kind, "message": str(exc)}}))
-                print(f"gwidiv: error: {exc}", file=sys.stderr)
-                return code
-        raise  # unreachable
-    if args.format == "csv":
-        flat = _flatten(result)
-        buffer = io.StringIO()
-        _emit_csv(list(flat), [list(flat.values())], buffer)
-        sys.stdout.write(buffer.getvalue())
-    else:
-        print(json.dumps(result, sort_keys=True))
     return 0
 
 

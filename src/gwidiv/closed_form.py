@@ -10,9 +10,9 @@ unit of initial population) and vartheta.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
+from .fixed_point import _linearization
 from .params import CaseError, CaseTag, ParamSet, _initial_population
 from .recursions import CoefficientPair, _constellation
 
@@ -73,8 +73,7 @@ def closed_form_lower_terms(
     (bl, al), pair = c.weights, c.star
     fp = c.fixed_point(pair)
     x0 = fp.x0_under if explicit else fp.x0
-    d_t = pair.q * math.exp(x0)
-    gamma_cap = 0.5 * d_t * x0 * x0
+    d_t, _, gamma_cap = _linearization(pair.q, bl, x0)
     r = pair.p / pair.q
     dtn = d_t**n
     zeta = gamma_cap * d_t ** (n - 1) * (1.0 - dtn) / (1.0 - d_t)
@@ -127,9 +126,7 @@ def closed_form_upper_terms(
     # an unusable over-approximant falls back to the solved root
     fallback = bool(explicit) and fp.explicit_unsafe
     x0 = fp.x0_over if explicit and not fallback else fp.x0
-    d_t = pair.q * math.exp(x0)
-    d_s = (x0 - (pair.q - bl)) / x0
-    gamma_cap = 0.5 * d_t * x0 * x0
+    d_t, d_s, gamma_cap = _linearization(pair.q, bl, x0)
     r = pair.p / pair.q
     dsn = d_s**n
     dtn = d_t**n

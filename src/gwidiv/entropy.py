@@ -141,7 +141,7 @@ def tangent_component_limit(params: ParamSet, omega0: int, n: int) -> float:
 
 def tangent_component_dy(params: ParamSet, omega0: int, n: int, y: float) -> float:
     """d/dy of the tangent component; used to confirm stationarity of maximizers."""
-    gbar = params.alpha_a * params.beta_h - params.alpha_h * params.beta_a
+    gbar = -params.gamma
     curvature = gbar**2 / (params.rate_a(y) * params.rate_h(y) ** 2)
     # d/dy of the tangent line at y is the line curvature * (x - y)
     return _integrated((-curvature * y, curvature), n, _occupation(params, omega0, n))
@@ -222,7 +222,7 @@ def _dtan_line(params: ParamSet) -> tuple[float, float]:
     """d/dy of the tangent line of g at y* = x*, where f_A = f_H =
     gbar/(beta_h - beta_a): -gap^3/gbar * (x - y*), written without dividing
     by gap."""
-    gbar = params.alpha_a * params.beta_h - params.alpha_h * params.beta_a
+    gbar = -params.gamma
     gap = params.beta_a - params.beta_h
     return -(gap**2) * (params.alpha_a - params.alpha_h) / gbar, -(gap**3) / gbar
 

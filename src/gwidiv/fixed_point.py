@@ -38,6 +38,16 @@ class FixedPointResult:
         return self.q * math.exp(self.x0) - self.beta_lambda - self.x0
 
 
+def _linearization(q: float, beta_lambda: float, x0: float) -> tuple[float, float, float]:
+    """(d_T, d_S, Gamma) at a point x0 of the map: the tangent slope q e^{x0},
+    the secant slope (x0 - (q - beta_lambda))/x0 through x0 and the first
+    step, -inf at x0 = 0 (only the tangent is used there), and the curvature
+    weight d_T x0^2 / 2."""
+    d_t = q * math.exp(x0)
+    d_s = (x0 - (q - beta_lambda)) / x0 if x0 else -math.inf
+    return d_t, d_s, 0.5 * d_t * x0 * x0
+
+
 def solve_fixed_point(q: float, beta_lambda: float) -> FixedPointResult:
     """Solve q*e^x - beta_lambda = x for the unique root in (-beta_lambda, q - beta_lambda).
 
@@ -81,9 +91,7 @@ def solve_fixed_point(q: float, beta_lambda: float) -> FixedPointResult:
     disc_over = (1.0 - q) ** 2 - 2.0 * q * (q - beta_lambda)
     x0_over = ((1.0 - q) - math.sqrt(disc_over)) / q
 
-    d_t = q * math.exp(x0)
-    d_s = (x0 - (q - beta_lambda)) / x0
-    gamma_cap = 0.5 * d_t * x0 * x0
+    d_t, d_s, gamma_cap = _linearization(q, beta_lambda, x0)
     return FixedPointResult(
         x0=x0,
         x0_under=x0_under,

@@ -40,6 +40,9 @@ __all__ = [
 #: absolute tolerance for derived-quantity ties (ratio equality, integer test)
 RATIO_TOL = 1e-12
 
+#: the largest finite double, sys.float_info.max: the limit of omega0 and n
+_DOUBLE_MAX = 1.7976931348623157e308
+
 #: rounding allowance of the bound reports' order check lower <= upper: this
 #: share of max(1, |lower|, |upper|), as in perfbench/checks.py
 ORDER_ALLOWANCE = 1e-12
@@ -98,13 +101,16 @@ def _integer(name: str, value) -> int:
 
 def _initial_population(omega0, n, n_min: int, cap: int | None = None) -> tuple[int, int]:
     """(omega0, n) as ints, after checking both are integers, omega0 lies in
-    [1, cap] and n >= n_min.  Every layer that takes an initial population
-    and a horizon checks them here.
+    [1, cap], n >= n_min and neither exceeds the largest finite double.
+    Every layer that takes an initial population and a horizon checks them
+    here.
     """
     if type(omega0) is not int or type(n) is not int:
         omega0, n = _integer("omega0", omega0), _integer("n", n)
     if omega0 < 1 or n < n_min:
         raise GWIError(f"need omega0 >= 1 and n >= {n_min}")
+    if omega0 > _DOUBLE_MAX or n > _DOUBLE_MAX:
+        raise GWIError(f"omega0 and n must not exceed the largest double {_DOUBLE_MAX!r}")
     if cap is not None and omega0 > cap:
         raise GWIError(f"omega0 = {omega0} exceeds the state cap max_state = {cap}")
     return omega0, n
@@ -221,11 +227,7 @@ def phi0_prime(params: ParamSet, lam: float) -> float:
     """
     ratio = params.alpha_a / params.alpha_h
     bl, _ = lambda_weights(params, lam)
-    return (
-        lam * params.beta_a * ratio ** (lam - 1.0)
-        + (1.0 - lam) * params.beta_h * ratio**lam
-        - bl
-    )
+    return _linear_majorant(params.beta_a, params.beta_h, ratio, lam) - bl
 
 
 def classify(params: ParamSet, lam: float) -> CaseTag:
@@ -322,4 +324,10 @@ def geometric_mean_gap(x: float, y: float, z: float, lam: float) -> float:
     if min(x, y, z) <= 0.0:
         raise GWIError("geometric_mean_gap needs strictly positive x, y, z")
     geo = math.exp(lam * math.log(x) + (1.0 - lam) * math.log(y))
-    return geo - (lam * x * z ** (lam - 1.0) + (1.0 - lam) * y * z**lam)
+    return geo - _linear_majorant(x, y, z, lam)
+
+
+def _linear_majorant(x: float, y: float, z: float, lam: float) -> float:
+    """lam x z^(lam-1) + (1-lam) y z^lam, the linear majorant in (x, y) of
+    x^lam y^(1-lam) that touches it where x/y == z."""
+    return lam * x * z ** (lam - 1.0) + (1.0 - lam) * y * z**lam

@@ -31,6 +31,7 @@ from .params import (
     _geometric_mean,
     _initial_population,
     _integer,
+    _linear_majorant,
     classify,
     lambda_weights,
     phi_eval,
@@ -231,7 +232,7 @@ class Constellation:
         """The affine asymptote of varphi as x -> infinity (not checked here)."""
         params, lam = self.params, self.lam
         ratio = params.beta_a / params.beta_h
-        p = lam * params.alpha_a * ratio ** (lam - 1.0) + (1.0 - lam) * params.alpha_h * ratio**lam
+        p = _linear_majorant(params.alpha_a, params.alpha_h, ratio, lam)
         return CoefficientPair(p=p, q=self.star.q, role=CoeffRole.ASYMPTOTE, label="asymptote")
 
     @cached_property
@@ -465,6 +466,10 @@ class LogBoundReport:
     case: CaseTag
 
     def __post_init__(self) -> None:
+        for name in ("log_lower", "log_upper", "log_exact"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise GWIError(f"{name} is {value}, not a finite double")
         if self.log_upper > 0.0:
             raise GWIError("log_upper must be <= 0 (H <= 1)")
         if _crossed(self.log_lower, self.log_upper):
@@ -482,11 +487,18 @@ def _log_end(pair: CoefficientPair, c: Constellation, omega0: int, n: int) -> fl
 
 
 def _exact(c: Constellation, omega0: int, n: int) -> float:
-    """The exact log value on checked arguments (n >= 0)."""
+    """The exact log value on checked arguments (n >= 0); refuses a value
+    beyond the double range."""
     if n == 0:
         return 0.0
     trace = _fold(c.star.p, c.star.q, *c._fold_weights, n)
-    return trace.a_n * omega0 + c.params.alpha_a / c.params.beta_a * trace.a_sum
+    value = trace.a_n * omega0
+    # the immigration term vanishes on NI, where 0 * a_sum may be 0 * -inf
+    if not c.params.no_immigration:
+        value += c.params.alpha_a / c.params.beta_a * trace.a_sum
+    if not math.isfinite(value):
+        raise GWIError(f"log_exact is {value}, not a finite double")
+    return value
 
 
 def _report(c: Constellation, omega0: int, n: int) -> LogBoundReport:

@@ -31,6 +31,10 @@ def run_json(capsys, *argv):
     return code, json.loads(out, parse_constant=_reject_constant)
 
 
+_DIFFUSION = ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1",
+              "--x0-tilde", "1", "--lambda", "0.5")
+
+
 class TestClassify:
     def test_sp3d_example(self, capsys):
         code, out = run_json(
@@ -276,6 +280,7 @@ class TestErrors:
         ("--preset", "sp1-small", "--n", "2000"),
         ("--beta-a", "2", "--beta-h", "0.01", "--alpha-a", "1", "--alpha-h", "1.5",
          "--n", "1020"),
+        ("--preset", "a7-sp2", "--n", str(10**400)),  # beyond the double range
     ])
     def test_entropy_overflow_code(self, capsys, argv):
         """These once died with an OverflowError traceback or printed Infinity."""
@@ -306,6 +311,87 @@ class TestErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(["hellinger", "--n", "not-an-int"])
         assert excinfo.value.code == 2
+
+
+class TestNonFiniteResults:
+    """No command prints NaN or Infinity: a log value beyond the double range
+    is refused with exit code 5, naming the key."""
+
+    def test_verify_underflowing_enumeration(self, capsys):
+        """The oracle's kept mass underflows to 0; this once exited 0 and
+        printed "log_enum": -Infinity."""
+        code, out = run_json(capsys, "verify", "--beta-a", "0.5", "--beta-h", "0.4",
+                             "--alpha-a", "200", "--alpha-h", "1", "--lambda", "0.5", "--n", "40")
+        assert code == 5
+        assert out["error"]["kind"] == "invalid-input"
+        assert out["error"]["message"].startswith("log_enum is -inf")
+
+    def test_horizon_beyond_the_double_range(self, capsys):
+        """This once died with an OverflowError traceback (exit code 1)."""
+        code, out = run_json(capsys, "hellinger", "--preset", "a7-sp2", "--n", str(10**400))
+        assert code == 5
+        assert "largest double" in out["error"]["message"]
+
+    @pytest.mark.parametrize("params, code, field", [
+        (("0.5", "5", "0", "0"), 0, None),  # NI: was refused, "exact value must lie between"
+        (("4", "2", "4", "2"), 5, "log_exact"),  # SP1: -inf in every field
+        (("0.8", "0.6", "20", "2"), 5, "log_lower"),  # SP3c
+    ])
+    def test_report_at_huge_horizon(self, capsys, params, code, field):
+        flags = ("--beta-a", "--beta-h", "--alpha-a", "--alpha-h")
+        argv = [x for pair in zip(flags, params) for x in pair] + ["--lambda", "0.5"]
+        got, out = run_json(capsys, "hellinger", *argv, "--n", str(10**308))
+        assert got == code
+        if field is None:
+            exact = out["log_exact"]
+            assert math.isfinite(exact) and exact < 0.0
+        else:
+            assert out["error"]["message"] == f"{field} is -inf, not a finite double"
+        got, out = run_json(capsys, "sweep", *argv, "--axis", "n",
+                            "--grid", f"1:{10**308}:{10**308 - 1}", "--format", "json")
+        assert got == code
+        if field is None:
+            assert [row[0] for row in out["rows"]] == [1, 10**308]
+            assert out["rows"][1][4] == exact
+        else:
+            assert out["error"]["message"] == f"{field} is -inf, not a finite double"
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("argv, field", [
+        (("diffusion", *_DIFFUSION, "--t", "1"), "limit_entropy"),
+        (("sweep", *_DIFFUSION, "--axis", "t", "--grid", "1:2:3"), "limit_entropy"),
+        (("sweep", *_DIFFUSION, "--axis", "t", "--grid", "1:2:3", "--format", "json"),
+         "limit_entropy"),
+        (("entropy", "--preset", "a7-sp2", "--n", "3"), "components.horizontal"),
+    ])
+    def test_every_result_is_checked(self, capsys, monkeypatch, argv, field, value):
+        """A non-finite number anywhere in a result, a sweep row or a nested
+        field, becomes an error at the one output point."""
+        import gwidiv.cli
+
+        report = gwidiv.cli.entropy_report
+
+        def entropy_report(*args):
+            out = report(*args)
+            object.__setattr__(out, "horizontal", value)  # past the report's own check
+            return out
+
+        monkeypatch.setattr(gwidiv.cli, "limit_entropy", lambda *args: value)
+        monkeypatch.setattr(gwidiv.cli, "entropy_report", entropy_report)
+        code, out = run_json(capsys, *argv)
+        assert code == 5
+        assert out["error"] == {"code": 5, "kind": "invalid-input",
+                                "message": f"{field} is {value}, not a finite double"}
+
+
+def test_one_dispatch_for_every_command():
+    """Every command, sweep included, is one _DISPATCH entry."""
+    import gwidiv.cli
+
+    parser = gwidiv.cli._build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(gwidiv.cli._DISPATCH) == set(commands)
+    assert len(commands) == 10
 
 
 class TestDeterminismAndRoundTrip:
@@ -413,10 +499,6 @@ def test_cli_contract_at_huge_horizon(capsys, preset):
     code, out = run_json(capsys, "entropy", "--preset", preset, "--n", _HUGE_N)
     assert code == (5 if preset in _ENTROPY_OVERFLOW else 0), out
     assert time.perf_counter() - start < 30.0
-
-
-_DIFFUSION = ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1",
-              "--x0-tilde", "1", "--lambda", "0.5")
 
 
 @pytest.mark.parametrize("argv", [

@@ -80,6 +80,16 @@ class TestClosedFormLower:
             explicit = closed_form_log_lower(params, lam, 1, 10, explicit=True)
             assert explicit <= default
 
+    def test_explicit_variant_at_a_zero_under_approximant(self):
+        """Nearly equal NI offspring means: q lies one ulp below beta_lambda and
+        the under-approximant of x0 rounds to 0.  The tangent at 0 gives zero
+        terms; only the secant slope, which the lower bound does not use,
+        divides by x0."""
+        terms = closed_form_lower_terms(ParamSet(0.3000000031428572, 0.3, 0.0, 0.0), 0.5, 1, 3,
+                                        explicit=True)
+        assert terms.x0_used == 0.0
+        assert terms.total_lower == terms.zeta == terms.vartheta == 0.0
+
 
 class TestClosedFormUpper:
     def test_equals_recursive_anchor_at_n1_only(self):

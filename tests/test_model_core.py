@@ -244,7 +244,10 @@ class TestInitialPopulationEveryLayer:
         (True, 3, "omega0 must be an integer"),  # the closed forms ran as omega0 = 1
         (2, np.float64(3.0), "n must be an integer"),
         (0, 3, "omega0 >= 1"),
-    ], ids=["omega0-0.5", "n-2.5", "omega0-True", "n-np.float64", "omega0-0"])
+        (10**400, 3, "largest double"),  # these raised OverflowError or ran
+        (2, 10**400, "largest double"),
+    ], ids=["omega0-0.5", "n-2.5", "omega0-True", "n-np.float64", "omega0-0", "omega0-1e400",
+            "n-1e400"])
     def test_refused_everywhere(self, omega0, n, match):
         for name, layer in self.layers().items():
             with pytest.raises(GWIError, match=match):

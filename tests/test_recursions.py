@@ -231,6 +231,39 @@ class TestExactLogHellinger:
             assert exact_log_hellinger(params, lam, 1, int(rng.integers(1, 20))) < 0.0
 
 
+class TestBeyondTheDoubleRange:
+    """A log value beyond the double range is refused with GWIError, never
+    returned as nan or -inf; these once returned nan or -inf, or raised an
+    OverflowError."""
+
+    def test_no_immigration_value_at_huge_horizon_is_finite(self):
+        """The immigration term vanishes on NI; it was 0 * -inf = nan."""
+        params = ParamSet(0.5, 5.0, 0.0, 0.0)
+        value = exact_log_hellinger(params, 0.5, 1, 10**308)
+        assert math.isfinite(value)
+        assert value == exact_log_hellinger(params, 0.5, 1, 10**6) < 0.0
+        report = log_hellinger_bounds(params, 0.5, 1, 10**308)
+        assert report.log_lower == report.log_exact == report.log_upper == value
+
+    @pytest.mark.parametrize("params, field", [
+        (ParamSet(4.0, 2.0, 4.0, 2.0), "log_exact"),  # SP1: -inf in every field
+        (ParamSet(0.8, 0.6, 20.0, 2.0), "log_lower"),  # SP3c
+    ])
+    def test_non_finite_report_refused(self, params, field):
+        with pytest.raises(GWIError, match=f"{field} is -inf, not a finite double"):
+            log_hellinger_bounds(params, 0.5, 1, 10**308)
+        if params.alpha_a / params.alpha_h == params.beta_a / params.beta_h:
+            with pytest.raises(GWIError, match="not a finite double"):
+                exact_log_hellinger(params, 0.5, 1, 10**308)
+
+    @pytest.mark.parametrize("field", ["log_lower", "log_upper", "log_exact"])
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_report_fields_must_be_finite(self, field, value):
+        fields = {"log_lower": -2.0, "log_upper": -1.0, "log_exact": None, field: value}
+        with pytest.raises(GWIError, match=f"{field} is {value}"):
+            LogBoundReport(**fields, method="bounds", case=CaseTag.SP2)
+
+
 class TestRecursiveLogBounds:
     def test_sp4_upper_is_trivial(self):
         report = recursive_log_bounds(ParamSet(1, 1, 2, 3), 0.5, 4, 7)
