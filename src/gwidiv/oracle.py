@@ -145,7 +145,8 @@ def enum_log_hellinger_profile(
     """Enumeration values for every horizon k = 0..n in one forward pass.
 
     Entry k is (log_value, error_bound) with the certified enclosure
-    exp(log_value) <= H_k <= exp(log_value) + error_bound.
+    exp(log_value) <= H_k <= exp(log_value) + error_bound.  A step whose kept
+    mass underflows to 0, where log_value would be -inf, is refused.
     """
     lam = validate_order(lam)
     cap = policy.max_state
@@ -157,7 +158,7 @@ def enum_log_hellinger_profile(
     weights[omega0] = 1.0
     trimmed = 0.0
     out = [(0.0, 0.0)]
-    for _step in range(n):
+    for step in range(1, n + 1):
         live = np.nonzero(weights)[0]
         eps = policy.tail_budget / (max(n, 1) * max(len(live), 1))
         xs = live.astype(float).tolist()
@@ -183,6 +184,9 @@ def enum_log_hellinger_profile(
         weights = np.zeros(cap + 1)
         weights[: len(ys)] = (w_live[:, None] * rows).sum(axis=0)
         kept = weights.sum()
+        if kept == 0.0:
+            raise GWIError(f"kept path mass underflows to 0 at step {step} of {n}; "
+                           "its log is -inf")
         # the cushion absorbs float rounding of the kept-mass summation, so
         # the enclosure stays valid beyond the exact-arithmetic argument
         out.append((float(np.log(kept)), float(trimmed + _ROUNDING_CUSHION * kept)))

@@ -85,7 +85,11 @@ class CaseTag(enum.Enum):
 
     @property
     def exactly_computable(self) -> bool:
-        return self in (CaseTag.NI, CaseTag.SP1)
+        return self is _NI or self is _SP1
+
+
+#: reading a member off CaseTag takes a metaclass hook on Python 3.11
+_NI, _SP1 = CaseTag.NI, CaseTag.SP1
 
 
 def _integer(name: str, value) -> int:

@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, NamedTuple, Optional
 
 from .fixed_point import FixedPointResult, solve_fixed_point
@@ -34,7 +34,6 @@ from .params import (
     _linear_majorant,
     classify,
     lambda_weights,
-    phi_eval,
     validate_order,
 )
 
@@ -59,8 +58,13 @@ _MAJORANT_TOL = 1e-9
 #: lattice points of phi a Constellation keeps for reuse; later ones are streamed
 _KEPT = 64
 
-#: the cases where the horizontal majorant of phi is informative
+#: the cases where the horizontal majorant of phi is informative; those with
+#: a checked case pair, with a secant case pair, and with only the trivial
+#: majorant under goal (Gc)
 _HUMP_CASES = (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C)
+_CASE_PAIR_CASES = (CaseTag.SP2, *_HUMP_CASES)
+_SECANT_CASES = _HUMP_CASES[1:]
+_TRIVIAL_CASES = (CaseTag.SP3D, CaseTag.SP4)
 
 _EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
 
@@ -164,6 +168,15 @@ def _fold(p: float, q: float, bl: float, al: float, n: int) -> RecursionTrace:
     return RecursionTrace(a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum, k)
 
 
+def _phi_prime(params: ParamSet, lam: float, bl: float, x: float) -> float:
+    """phi'(x) by the arithmetic of ``phi_eval(params, lam, x).phi_prime``,
+    without its checks: for gamma != 0 and positive rates (SP2-SP4)."""
+    fa = params.beta_a * x + params.alpha_a
+    fh = params.beta_h * x + params.alpha_h
+    varphi = math.exp(lam * math.log(fa) + (1.0 - lam) * math.log(fh))
+    return varphi * (lam * params.beta_a / fa + (1.0 - lam) * params.beta_h / fh) - bl
+
+
 def _floor_x_max(params: ParamSet, lam: float) -> int:
     """floor of the maximizer of the concave phi on [0, inf): 0 when
     phi'(0) <= 0, else of the positive root of phi'(x) = 0 (SP3b).
@@ -172,19 +185,31 @@ def _floor_x_max(params: ParamSet, lam: float) -> int:
     midpoint stays inside [lo, hi] and the floor is then fixed.  When
     phi'(0) <= 0, phi' <= 0 everywhere, so the first midpoint fixes it at 0.
     """
+    bl = lambda_weights(params, lam)[0]
     lo, hi = 0.0, 1.0
-    while phi_eval(params, lam, hi).phi_prime > 0.0:
+    while _phi_prime(params, lam, bl, hi) > 0.0:
         lo = hi
         hi *= 2.0
         if hi > 1e12:
             raise GWIError("failed to bracket the maximum of phi")
     while hi - lo > 1e-12 and math.floor(lo) != math.floor(hi):
         mid = 0.5 * (lo + hi)
-        if phi_eval(params, lam, mid).phi_prime > 0.0:
+        if _phi_prime(params, lam, bl, mid) > 0.0:
             lo = mid
         else:
             hi = mid
     return math.floor(0.5 * (lo + hi))
+
+
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock it takes on every first
+    read before Python 3.12.  A refusal raises on every read and stores nothing."""
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.attrname] = self.func(obj)
+        return value
 
 
 class Constellation:
@@ -227,7 +252,7 @@ class Constellation:
                 ) from exc
         return self._fixed_points[key]
 
-    @cached_property
+    @_cached
     def asymptote(self) -> CoefficientPair:
         """The affine asymptote of varphi as x -> infinity (not checked here)."""
         params, lam = self.params, self.lam
@@ -235,18 +260,17 @@ class Constellation:
         p = _linear_majorant(params.alpha_a, params.alpha_h, ratio, lam)
         return CoefficientPair(p=p, q=self.star.q, role=CoeffRole.ASYMPTOTE, label="asymptote")
 
-    @cached_property
+    @_cached
     def upper(self) -> CoefficientPair:
         """The case pair: ``star`` on NI/SP1, the trivial pair on SP3d/SP4 and
         a checked majorant of phi on SP2/SP3a/SP3b/SP3c."""
         params, case = self.params, self.case
         if case.exactly_computable:
             return self.star
-        if case in (CaseTag.SP3D, CaseTag.SP4):
-            # only the trivial majorant exists under goal (Gc)
+        if case in _TRIVIAL_CASES:
             bl, al = self.weights
             return CoefficientPair(p=al, q=bl, role=CoeffRole.UPPER, label="trivial")
-        if case in (CaseTag.SP3B, CaseTag.SP3C):
+        if case in _SECANT_CASES:
             return self._require_majorant(self._secant_construction())
         # secant(0,1) from p = varphi(0) (alpha itself on SP2); on SP3a this is
         # the discrete tangent-or-secant through x=1 with the smallest admissible
@@ -257,13 +281,13 @@ class Constellation:
         return self._require_majorant(
             CoefficientPair(p=p, q=q, role=CoeffRole.UPPER, label="secant(0,1)"))
 
-    @cached_property
+    @_cached
     def uppers(self) -> tuple[CoefficientPair, ...]:
         """Every non-trivial checked upper pair: case pair, asymptote, horizontal."""
         case = self.case
         if case.exactly_computable:
             raise CaseError(_EXACT_ONLY.format(case.value))
-        pairs = [self.upper] if case in (CaseTag.SP2, *_HUMP_CASES) else []
+        pairs = [self.upper] if case in _CASE_PAIR_CASES else []
         if case is not CaseTag.SP4:
             pairs.append(self._require_majorant(self.asymptote))
         if case in _HUMP_CASES:
@@ -293,18 +317,27 @@ class Constellation:
             yield phi, varphi
             x += 1.0
 
-    def _walk(self, start: int = 0) -> Iterator[tuple[float, float]]:
-        """:meth:`_lattice` from ``start``, the points below ``_KEPT`` evaluated once and kept."""
+    def _at(self, x: int) -> tuple[float, float]:
+        """(phi(x), varphi(x)) of :meth:`_lattice`; the points below ``_KEPT``
+        are evaluated once, in order, and kept."""
         points = self._points
-        if start < _KEPT:
-            yield from islice(points, start, None)
-            for point in islice(self._lattice(len(points)), _KEPT - len(points)):
-                points.append(point)
-                if len(points) > start:
-                    yield point
-        yield from self._lattice(max(start, _KEPT))
+        if x < len(points):
+            return points[x]
+        if x >= _KEPT:
+            return next(self._lattice(x))
+        points.extend(islice(self._lattice(len(points)), x + 1 - len(points)))
+        return points[x]
 
-    @cached_property
+    def _walk(self) -> Iterator[tuple[float, float]]:
+        """:meth:`_lattice` from 0, the points below ``_KEPT`` evaluated once and kept."""
+        points = self._points
+        yield from points
+        for point in islice(self._lattice(len(points)), _KEPT - len(points)):
+            points.append(point)
+            yield point
+        yield from self._lattice(max(len(points), _KEPT))
+
+    @_cached
     def _peak(self) -> tuple[int, float, float]:
         """(j, phi(j), phi(j+1)), j the floor of phi's continuous maximizer:
         floor(x*) on SP3c, where the rates cross, 0 on SP3a, where classify
@@ -316,8 +349,8 @@ class Constellation:
             j = _floor_x_max(params, lam)
         else:
             j = math.floor(params.x_star) if case is CaseTag.SP3C else 0
-        scan = self._walk(j)
-        return j, next(scan)[0], next(scan)[0]
+        phi_j1 = self._at(j + 1)[0]  # extends the kept prefix once
+        return j, self._at(j)[0], phi_j1
 
     def _secant_construction(self) -> CoefficientPair:
         """Canonical upper pair for hump-shaped phi (SP3b, SP3c).
@@ -331,7 +364,7 @@ class Constellation:
         j, phi_j, phi_j1 = self._peak
         if phi_j <= phi_j1:
             j += 1
-            phi_j, phi_j1 = phi_j1, next(self._walk(j + 1))[0]
+            phi_j, phi_j1 = phi_j1, self._at(j + 1)[0]
         slope_sec = phi_j1 - phi_j
         intercept_sec = phi_j - j * slope_sec
         if intercept_sec <= 0.0:
@@ -361,7 +394,8 @@ class Constellation:
         """
         bl, al = self.weights
         r, s = pair.p - al, pair.q - bl
-        r_t, s_t = self.asymptote.p - al, self.asymptote.q - bl
+        asymptote = self.asymptote
+        r_t, s_t = asymptote.p - al, asymptote.q - bl
         if s < s_t - 1e-12:
             raise GWIError(f"slope of {pair.label} pair below the asymptote slope")
         if abs(s - s_t) <= 1e-12:
@@ -370,7 +404,13 @@ class Constellation:
             x_check = 2
         else:
             x_check = max(2, math.ceil((r_t - r) / (s - s_t)) + 1)
-        for x, (phi, _) in zip(range(x_check + 1), self._walk()):
+        head = min(x_check + 1, _KEPT)
+        if head:
+            self._at(head - 1)
+        points = self._points[:head]
+        if x_check >= _KEPT:
+            points = chain(points, islice(self._lattice(_KEPT), x_check + 1 - _KEPT))
+        for x, (phi, _) in enumerate(points):
             if phi > r + s * x + _MAJORANT_TOL:
                 raise GWIError(f"{pair.label} pair fails to dominate phi at x={x}")
         return pair

@@ -319,12 +319,12 @@ class TestNonFiniteResults:
 
     def test_verify_underflowing_enumeration(self, capsys):
         """The oracle's kept mass underflows to 0; this once exited 0 and
-        printed "log_enum": -Infinity."""
+        printed "log_enum": -Infinity.  The oracle refuses it."""
         code, out = run_json(capsys, "verify", "--beta-a", "0.5", "--beta-h", "0.4",
                              "--alpha-a", "200", "--alpha-h", "1", "--lambda", "0.5", "--n", "40")
         assert code == 5
         assert out["error"]["kind"] == "invalid-input"
-        assert out["error"]["message"].startswith("log_enum is -inf")
+        assert out["error"]["message"].startswith("kept path mass underflows to 0 at step 17")
 
     def test_horizon_beyond_the_double_range(self, capsys):
         """This once died with an OverflowError traceback (exit code 1)."""

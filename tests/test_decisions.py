@@ -8,10 +8,13 @@ import pytest
 
 from gwidiv import (
     BoundOrderError,
+    CaseError,
     DecisionConfig,
     GWIError,
     ParamSet,
     bayes_risk_bounds,
+    closed_form_log_lower,
+    closed_form_log_upper,
     distinguishability,
     divergence_from_log_hellinger,
     enum_bayes_risk,
@@ -237,15 +240,7 @@ class TestOptimizeDerivesOnce:
         monkeypatch.setattr(recursions, "classify", _recorder(classified, recursions.classify))
         monkeypatch.setattr(recursions, "run_recursion",
                             _recorder(public, recursions.run_recursion))
-        points = {}
-        real = Constellation._lattice
-
-        def lattice(self, start=0):
-            for x, point in enumerate(real(self, start), start):
-                points.setdefault(self, []).append(x)
-                yield point
-
-        monkeypatch.setattr(Constellation, "_lattice", lattice)
+        points = _record_lattice(monkeypatch)
         for case in ALL_CASES:
             params = random_params(rng, case)
             for n in (0, 7):
@@ -258,6 +253,29 @@ class TestOptimizeDerivesOnce:
                 if n and case in ("SP2", "SP3a", "SP3b", "SP3c", "SP3d"):
                     assert points, case
 
+    def test_hellinger_report_reads_each_kept_point_once(self, rng, monkeypatch):
+        """log_hellinger_bounds and both closed forms on one ParamSet object,
+        as the ``hellinger`` command makes them, share one Constellation and
+        evaluate each of its lattice points below ``_KEPT`` at most once."""
+        points = _record_lattice(monkeypatch)
+        for case in ALL_CASES:
+            for lam in (0.2, 0.5, 0.8):
+                params = random_params(rng, case, lam)
+                points.clear()
+                log_hellinger_bounds(params, lam, 2, 7)
+                for bound, uncovered in ((closed_form_log_lower, ("SP4",)),
+                                         (closed_form_log_upper, ("SP3d", "SP4"))):
+                    try:
+                        bound(params, lam, 2, 7)
+                    except CaseError:
+                        assert case in uncovered, (case, bound.__name__)
+                assert len(points) <= 1, case
+                for xs in points.values():
+                    kept = [x for x in xs if x < recursions._KEPT]
+                    assert len(kept) == len(set(kept)), (case, lam, sorted(xs))
+                if case in ("SP2", "SP3a", "SP3b", "SP3c", "SP3d"):
+                    assert points, case
+
     def test_memo_is_left_as_it_was(self, rng):
         params = random_params(rng, "SP3c")
         optimize_bayes_upper(params, 2, 7, DecisionConfig())
@@ -266,6 +284,20 @@ class TestOptimizeDerivesOnce:
         before = recursions._memo
         optimize_bayes_upper(params, 2, 7, DecisionConfig())
         assert recursions._memo is before
+
+
+def _record_lattice(monkeypatch):
+    """Record, per Constellation, the x of every point its ``_lattice`` yields."""
+    points = {}
+    real = Constellation._lattice
+
+    def lattice(self, start=0):
+        for x, point in enumerate(real(self, start), start):
+            points.setdefault(self, []).append(x)
+            yield point
+
+    monkeypatch.setattr(Constellation, "_lattice", lattice)
+    return points
 
 
 def _recorder(calls, real):

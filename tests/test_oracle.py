@@ -1,6 +1,7 @@
 """The enumeration/Monte-Carlo oracle itself, cross-validated naively."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,17 @@ class TestEnumHellinger:
         params = ParamSet(1.2, 0.8, 2, 2)
         with pytest.raises(GWIError):
             enum_log_hellinger(params, 0.5, 3, 6, TruncationPolicy(max_state=30))
+
+    def test_underflowing_mass_is_refused_without_a_warning(self):
+        """The kept mass underflows to 0 at step 17; this once returned a
+        log value of -inf with numpy's divide-by-zero RuntimeWarning."""
+        params = ParamSet(0.5, 0.4, 200.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (enum_log_hellinger, enum_log_hellinger_profile):
+                with pytest.raises(GWIError, match="kept path mass underflows to 0 at step 17 of 40"):
+                    call(params, 0.5, 1, 40)
+            assert math.isfinite(enum_log_hellinger(params, 0.5, 1, 16)[0])
 
 
 class TestMonteCarlo:

@@ -456,7 +456,7 @@ FLAT_HUMPS = [
 class TestLatticeScansMatchReference:
     LAMS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
-    def test_lattice_evaluator_is_phi_eval(self, rng):
+    def test_lattice_evaluator_is_phi_eval(self, rng, monkeypatch):
         for case in ALL_CASES:
             for lam in self.LAMS:
                 params = random_params(rng, case, lam)
@@ -465,6 +465,19 @@ class TestLatticeScansMatchReference:
                     assert varphi == varphi_value(params, lam, float(x))
                 for x, (phi, _) in zip(range(17, 20), Constellation(params, lam)._lattice(17)):
                     assert phi == phi_eval(params, lam, float(x)).phi
+        # the bisection's phi' probe, at lattice points and at the midpoints
+        # it visits, on seeded SP3b draws and on the flat humps
+        probes = _count(monkeypatch, recursions, "_phi_prime")
+        points = [(random_params(rng, "SP3b", lam), lam) for lam in self.LAMS for _ in range(4)]
+        for params, lam in points + [(params, lam) for params, lam, _ in FLAT_HUMPS]:
+            probes.clear()
+            _floor_x_max(params, lam)
+            bl = lambda_weights(params, lam).beta_lambda
+            midpoints = [x for *_, x in probes]
+            assert any(x != math.floor(x) for x in midpoints), (params, lam)
+            for x in midpoints + [float(x) for x in range(40)]:
+                assert recursions._phi_prime(params, lam, bl, x) == \
+                    phi_eval(params, lam, x).phi_prime, (params, lam, x)
 
     def test_separation_scan(self, rng):
         for lam in self.LAMS:
@@ -575,11 +588,21 @@ class TestKeptLattice:
     """A Constellation keeps at most ``_KEPT`` lattice points, whatever its
     peak or check length, and reading them back changes no value."""
 
-    def test_walk_is_the_lattice(self, rng):
-        c = Constellation(random_params(rng, "SP3c", 0.5), 0.5)
-        for start in (5, 0, 2, 63, 64, 100):
-            assert list(islice(c._walk(start), 80)) == list(islice(c._lattice(start), 80))
-            assert len(c._points) <= recursions._KEPT
+    def test_walk_is_the_lattice(self, rng, monkeypatch):
+        """Indexed reads and the SP3d scan's walk give the streamed lattice,
+        and keep its first ``_KEPT`` points (none when ``_KEPT`` is 0)."""
+        params = random_params(rng, "SP3c", 0.5)
+        for kept in (recursions._KEPT, 0):
+            monkeypatch.setattr(recursions, "_KEPT", kept)
+            c = Constellation(params, 0.5)
+            for start in (5, 0, 2, 63, 64, 100):
+                assert [c._at(x) for x in range(start, start + 80)] == \
+                    list(islice(c._lattice(start), 80))
+                assert len(c._points) == kept
+            c = Constellation(params, 0.5)
+            for _ in range(2):
+                assert list(islice(c._walk(), 100)) == list(islice(c._lattice(), 100))
+                assert len(c._points) == kept
 
     def test_far_peak_is_read_without_the_points_below_it(self):
         c = Constellation(TINY_GAP, 0.5)
@@ -604,6 +627,58 @@ class TestKeptLattice:
                 streamed = _outcome(lambda p: recursions._report(c, 2, 7), params)
                 assert c._points == []
             assert kept == streamed, (fields, lam)
+
+
+class TestLockFreeCaches:
+    """``asymptote``, ``upper``, ``uppers`` and ``_peak`` are computed once per
+    instance, without a lock, and stored in that instance alone; a refusal
+    is raised again on every read and stores nothing."""
+
+    MEMBERS = ("asymptote", "upper", "uppers", "_peak")
+
+    def test_computed_once_per_instance(self, rng, monkeypatch):
+        calls = []
+        for name in self.MEMBERS:
+            cache = vars(Constellation)[name]
+            monkeypatch.setattr(cache, "func", _recorder_of(calls, name, cache.func))
+            # a lock taken on a first read would now raise
+            monkeypatch.setattr(cache, "lock", None, raising=False)
+        for case in ("SP2", "SP3a", "SP3b", "SP3c"):
+            params = random_params(rng, case, 0.5)
+            first, second = Constellation(params, 0.5), Constellation(params, 0.5)
+            for c in (first, second):
+                calls.clear()
+                values = {name: getattr(c, name) for name in self.MEMBERS}
+                for name in self.MEMBERS:
+                    assert getattr(c, name) is values[name] is vars(c)[name]
+                assert sorted(calls) == sorted(self.MEMBERS), (case, calls)
+            for name in self.MEMBERS:
+                assert getattr(first, name) == getattr(second, name)
+                assert getattr(first, name) is not getattr(second, name), (case, name)
+
+    @pytest.mark.parametrize("params, name, message", [
+        (ParamSet(0.8, 0.6, 0.0, 0.0), "uppers", "case NI is exactly computable"),
+        (ParamSet(0.8, 0.6, 2.0, 1.5), "uppers", "case SP1 is exactly computable"),
+        (TINY_GAP, "upper", r"intercept of secant\(999999918,999999919\) pair"),
+        (TINY_GAP, "uppers", r"intercept of secant\(999999918,999999919\) pair"),
+    ], ids=["NI", "SP1", "tiny-gap-upper", "tiny-gap-uppers"])
+    def test_refusal_raised_on_every_read(self, params, name, message, monkeypatch):
+        calls = []
+        cache = vars(Constellation)[name]
+        monkeypatch.setattr(cache, "func", _recorder_of(calls, name, cache.func))
+        c = Constellation(params, 0.5)
+        messages = []
+        for _ in range(3):
+            with pytest.raises(GWIError, match=message) as exc:
+                getattr(c, name)
+            messages.append(str(exc.value))
+            assert name not in vars(c)
+        assert len(calls) == 3 and len(set(messages)) == 1
+
+
+def _recorder_of(calls, name, func):
+    """``func``, recording ``name`` in ``calls`` on each call."""
+    return lambda self: calls.append(name) or func(self)
 
 
 class TestDerivedOnce:
