@@ -31,7 +31,13 @@ Each line is ``key<TAB>value``.  The parts:
   ``DECISION_CONFIGS``;
 * the ``--help`` text of ``gwidiv`` and of each command in ``COMMANDS``,
   at ``COLUMNS`` 80, and the ``--format csv`` output of every command but
-  ``sweep`` on one preset, error object included.
+  ``sweep`` on one preset, error object included;
+* ``float.hex`` of ``phi_eval`` (phi, phi', phi'') and ``varphi_value`` at
+  every x in ``PHI_XS`` and of every (log value, error) pair of
+  ``enum_log_hellinger_profile`` at ``PROFILE_OMEGA0``, ``PROFILE_N``, on one
+  seeded draw per case at lambda ``PHI_LAMBDA``; and ``log_hellinger_bounds``
+  at omega0 2, n 7 on ``GAMMA_ZERO_SP3A`` at every lambda in ``LAMBDAS``,
+  refusals included.
 
 ``tests/test_golden.py`` recomputes the corpus and compares it with the
 committed ``tests/golden_corpus.txt`` line by line.  To regenerate the file
@@ -82,6 +88,8 @@ from gwidiv import (
     solve_fixed_point,
 )
 from gwidiv.cli import PRESETS, main
+from gwidiv.oracle import enum_log_hellinger_profile
+from gwidiv.params import phi_eval, varphi_value
 from gwidiv.recursions import Constellation
 
 from conftest import ALL_CASES, random_params
@@ -127,6 +135,15 @@ DECISION_CONFIGS = (DecisionConfig(), DecisionConfig(loss_a=10.0, loss_h=0.5, pr
 #: near-identical supercritical SP2 laws whose report crosses at omega0 = 3, n = 85
 CROSSING_POINT = ParamSet(2.603618456914746, 2.6036184569147456,
                           4.469573356601049, 4.469573356601049)
+
+#: the order, points and profile horizon of the phi entries
+PHI_LAMBDA = 0.3
+PHI_XS = (0.0, 1.0, 2.5)
+PROFILE_OMEGA0, PROFILE_N = 2, 3
+#: gamma is exactly 0.0 in floats, yet classify finds phi'(0) <= 0: SP3a,
+#: whose majorant checks read the affine form of phi
+GAMMA_ZERO_SP3A = ParamSet(2208272.1629589596, 1.3388200155740742,
+                           7768091.752870571, 4.7095991590201)
 
 _SDE = (("--eta", "0.5", "--kappa-a", "2", "--kappa-h", "1", "--sigma", "1", "--x0-tilde", "1"),
         ("--eta", "1", "--kappa-a", "0.5", "--kappa-h", "2", "--sigma", "1", "--x0-tilde", "1"),
@@ -375,10 +392,30 @@ def decision_lines():
                 yield f"bayes {at}", " | ".join(risks)
 
 
+def phi_lines():
+    rng = np.random.default_rng(SEED + 4)
+    lam = PHI_LAMBDA
+    for case in ALL_CASES:
+        params = random_params(rng, case, lam)
+        key = f"phi {case} lam={lam}"
+        yield f"{key} params", _hex(params.beta_a, params.beta_h, params.alpha_a, params.alpha_h)
+        yield key, " | ".join(_hex(*phi_eval(params, lam, x), varphi_value(params, lam, x))
+                              for x in PHI_XS)
+        profile = enum_log_hellinger_profile(params, lam, PROFILE_OMEGA0, PROFILE_N)
+        yield f"{key} profile", " | ".join(_hex(*entry) for entry in profile)
+    for lam in LAMBDAS:
+        try:
+            report = log_hellinger_bounds(GAMMA_ZERO_SP3A, lam, 2, 7)
+            value = f"{_hex(report.log_lower, report.log_upper)} {report.method}"
+        except GWIError as exc:
+            value = _refusal(exc)
+        yield f"phi gamma-zero lam={lam} omega0=2 n=7", value
+
+
 def corpus() -> list[str]:
     return [f"{key}\t{value}"
             for lines in (cli_lines(), bound_lines(), entropy_lines(), closed_form_lines(),
-                          prelimit_lines(), decision_lines(), surface_lines())
+                          prelimit_lines(), decision_lines(), surface_lines(), phi_lines())
             for key, value in lines]
 
 
