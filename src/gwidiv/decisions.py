@@ -56,8 +56,8 @@ class DecisionConfig:
     level: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.loss_a <= 0.0 or self.loss_h <= 0.0:
-            raise GWIError("losses must be > 0")
+        if not (0.0 < self.loss_a < math.inf and 0.0 < self.loss_h < math.inf):
+            raise GWIError(f"losses must be finite and > 0, got {self.loss_a}, {self.loss_h}")
         if not 0.0 < self.prior_h < 1.0:
             raise GWIError("prior_h must lie in (0, 1)")
         if not 0.0 < self.level < 1.0:
@@ -79,8 +79,8 @@ def divergence_from_log_hellinger(log_h: float, lam: float) -> tuple[float, floa
     renyi = log H / (lambda (lambda-1)) >= 0.
     """
     lam = validate_order(lam)
-    if log_h > 0.0:
-        raise GWIError("log Hellinger value must be <= 0")
+    if not -math.inf < log_h <= 0.0:
+        raise GWIError(f"log Hellinger value must be finite and <= 0, got {log_h}")
     denom = lam * (1.0 - lam)
     power = (1.0 - math.exp(log_h)) / denom
     renyi = log_h / (lam * (lam - 1.0)) + 0.0  # normalize -0.0 at log_h == 0

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .closed_form import closed_form_log_lower, closed_form_log_upper
-from .params import AdmissibilityError, GWIError, ParamSet, _initial_population, validate_order
+from .params import (AdmissibilityError, GWIError, ParamSet, _initial_population, _integer,
+                     validate_order)
 
 __all__ = [
     "SDEParams",
@@ -83,6 +84,7 @@ def approx_params(sde: SDEParams, m: int) -> ParamSet:
     Raises :class:`AdmissibilityError` (with the minimal admissible m) when
     either offspring mean leaves (0, 1].
     """
+    m = _integer("m", m)
     if m < 1:
         raise AdmissibilityError(f"approximation step m must be >= 1, got {m}")
     s2m = sde.sigma**2 * m
@@ -111,6 +113,7 @@ def _check_time(t: float) -> None:
 def time_horizon(sde: SDEParams, m: int, t: float) -> int:
     """floor(sigma^2 m t), with a 1e-9 upward nudge against floor misses."""
     _check_time(t)
+    m = _integer("m", m)
     steps = sde.sigma**2 * m * t + 1e-9
     if not math.isfinite(steps):
         raise GWIError(f"horizon sigma^2 m t overflows a double at t = {t}, m = {m}")

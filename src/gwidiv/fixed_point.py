@@ -55,8 +55,8 @@ def solve_fixed_point(q: float, beta_lambda: float) -> FixedPointResult:
     steps; the bracket is guaranteed because the map is convex, increasing,
     and its first recursion step a_1 = q - beta_lambda is negative.
     """
-    if q <= 0.0:
-        raise GWIError(f"fixed point needs q > 0, got {q}")
+    if not 0.0 < q < math.inf or not beta_lambda < math.inf:
+        raise GWIError(f"fixed point needs finite q > 0 and beta_lambda, got {q}, {beta_lambda}")
     if q >= beta_lambda:
         raise GWIError(
             f"no negative fixed point for q >= beta_lambda (q={q}, beta_lambda={beta_lambda})"
@@ -77,7 +77,7 @@ def solve_fixed_point(q: float, beta_lambda: float) -> FixedPointResult:
         slope = q * exp(x0) - 1.0
         x0 -= (q * exp(x0) - beta_lambda - x0) / slope
     residual = q * exp(x0) - beta_lambda - x0
-    if abs(residual) > _RESIDUAL_TOL:
+    if not abs(residual) <= _RESIDUAL_TOL:
         raise GWIError(f"fixed-point residual {residual:.3e} above tolerance")
 
     # under-approximant: root of the h(q)-damped quadratic (below the map)

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.special import gammaln, pdtr, pdtrc, pdtrik, xlogy
 
 from .decisions import DecisionConfig
-from .params import (GWIError, ParamSet, _initial_population, _integer, lambda_weights, phi_eval,
-                     validate_order, varphi_value)
+from .params import (GWIError, ParamSet, _initial_population, _integer, _phi_kernel,
+                     lambda_weights, validate_order)
 
 __all__ = [
     "PathLaw",
@@ -151,9 +151,7 @@ def enum_log_hellinger_profile(
     lam = validate_order(lam)
     cap = policy.max_state
     omega0, n = _initial_population(omega0, n, 0, cap)
-    bl, al = lambda_weights(params, lam)
-    # on NI/SP1 phi is affine; phi_eval uses the exact form phi(0) + phi'(0) x
-    linear = phi_eval(params, lam, 0.0) if params.gamma == 0.0 else None
+    phi = _phi_kernel(params, lam, *lambda_weights(params, lam))
     weights = np.zeros(cap + 1)
     weights[omega0] = 1.0
     trimmed = 0.0
@@ -161,13 +159,9 @@ def enum_log_hellinger_profile(
     for step in range(1, n + 1):
         live = np.nonzero(weights)[0]
         eps = policy.tail_budget / (max(n, 1) * max(len(live), 1))
-        xs = live.astype(float).tolist()
-        varphis = [varphi_value(params, lam, x) for x in xs]
-        # exp(phi) with phi_eval's own arithmetic, from the varphi just computed
-        if linear is None:
-            totals = [math.exp(v - (al + bl * x)) for v, x in zip(varphis, xs)]
-        else:
-            totals = [math.exp(linear.phi + linear.phi_prime * x) for x in xs]
+        # each live state's kernel row has mass exp(phi) and Poisson(varphi) shape
+        phis, varphis = zip(*map(phi, live.astype(float).tolist()))
+        totals = list(map(math.exp, phis))
         rates = np.array(varphis)
         cutoffs = _poisson_cutoffs(rates, eps, cap)
         # one kernel row per live state, zero past its cutoff (an extinct NI

@@ -221,6 +221,8 @@ def _geometric_mean(a: float, h: float, lam: float) -> float:
 
 def varphi_value(params: ParamSet, lam: float, x: float) -> float:
     """varphi(x) = (rate_a(x))^lam * (rate_h(x))^(1-lam), with varphi(0)=0 on NI."""
+    if not 0.0 <= x < math.inf:
+        raise GWIError(f"varphi is only defined for finite x >= 0, got {x}")
     return _geometric_mean(params.rate_a(x), params.rate_h(x), lam)
 
 
@@ -292,29 +294,53 @@ def phi_eval(params: ParamSet, lam: float, x: float) -> PhiDerivatives:
 
     phi is the per-generation exponent whose linear bounds drive every
     Hellinger recursion: phi <= 0 everywhere, with equality iff the two
-    conditional rates coincide, and phi'' < 0 whenever gamma != 0.  On the
-    linear constellations (gamma == 0, i.e. NI and SP1) the exact affine form
-    is used, which also covers the NI boundary point x = 0.
+    conditional rates coincide, and phi'' < 0 whenever gamma != 0.  phi is
+    the value of :func:`_phi_kernel`, phi' that of :func:`_phi_prime`.
     """
     lam = validate_order(lam)
-    if x < 0.0:
-        raise GWIError(f"phi is only defined for x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise GWIError(f"phi is only defined for finite x >= 0, got {x}")
     bl, al = lambda_weights(params, lam)
+    phi, varphi = _phi_kernel(params, lam, bl, al)(x)
     if params.gamma == 0.0:
-        p_e = _geometric_mean(params.alpha_a, params.alpha_h, lam)
-        q_e = _geometric_mean(params.beta_a, params.beta_h, lam)
-        return PhiDerivatives(
-            phi=(p_e - al) + (q_e - bl) * x,
-            phi_prime=q_e - bl,
-            phi_double_prime=0.0,
-        )
-    fa = params.rate_a(x)
-    fh = params.rate_h(x)
-    varphi = _geometric_mean(fa, fh, lam)
-    phi = varphi - (al + bl * x)
-    phi_prime = varphi * (lam * params.beta_a / fa + (1.0 - lam) * params.beta_h / fh) - bl
+        return PhiDerivatives(phi, _geometric_mean(params.beta_a, params.beta_h, lam) - bl, 0.0)
+    fa, fh = params.rate_a(x), params.rate_h(x)
     phi_double = -lam * (1.0 - lam) * params.gamma**2 * varphi / (fa * fh) ** 2
-    return PhiDerivatives(phi, phi_prime, phi_double)
+    return PhiDerivatives(phi, _phi_prime(params, lam, bl, x), phi_double)
+
+
+def _phi_kernel(params: ParamSet, lam: float, bl: float, al: float):
+    """x -> (phi(x), varphi(x)) at order lam with lambda weights bl, al: the
+    one evaluator of phi, for x >= 0 and unchecked.
+
+    varphi is the geometric mean of the two rates, taken in log space.  On
+    the linear constellations (gamma == 0, i.e. NI and SP1) phi is the exact
+    affine form (p_E - alpha_lambda) + (q_E - beta_lambda) x, which also
+    covers the NI boundary point x = 0, where varphi is 0.
+    """
+    beta_a, beta_h, alpha_a, alpha_h = (params.beta_a, params.beta_h,
+                                        params.alpha_a, params.alpha_h)
+    if params.gamma == 0.0:
+        p_lin = _geometric_mean(alpha_a, alpha_h, lam) - al
+        q_lin = _geometric_mean(beta_a, beta_h, lam) - bl
+        return lambda x: (p_lin + q_lin * x,
+                          _geometric_mean(beta_a * x + alpha_a, beta_h * x + alpha_h, lam))
+    lam_h, log, exp = 1.0 - lam, math.log, math.exp
+
+    def kernel(x):
+        # gamma != 0 needs positive immigration: both rates are positive
+        varphi = exp(lam * log(beta_a * x + alpha_a) + lam_h * log(beta_h * x + alpha_h))
+        return varphi - (al + bl * x), varphi
+
+    return kernel
+
+
+def _phi_prime(params: ParamSet, lam: float, bl: float, x: float) -> float:
+    """phi'(x), unchecked, for gamma != 0, where both rates are positive."""
+    fa = params.beta_a * x + params.alpha_a
+    fh = params.beta_h * x + params.alpha_h
+    varphi = _geometric_mean(fa, fh, lam)
+    return varphi * (lam * params.beta_a / fa + (1.0 - lam) * params.beta_h / fh) - bl
 
 
 def geometric_mean_gap(x: float, y: float, z: float, lam: float) -> float:
@@ -327,8 +353,7 @@ def geometric_mean_gap(x: float, y: float, z: float, lam: float) -> float:
     lam = validate_order(lam)
     if min(x, y, z) <= 0.0:
         raise GWIError("geometric_mean_gap needs strictly positive x, y, z")
-    geo = math.exp(lam * math.log(x) + (1.0 - lam) * math.log(y))
-    return geo - _linear_majorant(x, y, z, lam)
+    return _geometric_mean(x, y, lam) - _linear_majorant(x, y, z, lam)
 
 
 def _linear_majorant(x: float, y: float, z: float, lam: float) -> float:

@@ -17,8 +17,8 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
-from typing import Iterator, NamedTuple, Optional
+from itertools import chain, count
+from typing import NamedTuple, Optional
 
 from .fixed_point import FixedPointResult, solve_fixed_point
 from .params import (
@@ -32,6 +32,8 @@ from .params import (
     _initial_population,
     _integer,
     _linear_majorant,
+    _phi_kernel,
+    _phi_prime,
     classify,
     lambda_weights,
     validate_order,
@@ -91,8 +93,8 @@ class CoefficientPair:
     label: str = ""
 
     def __post_init__(self) -> None:
-        if self.p < 0.0 or self.q < 0.0:
-            raise GWIError(f"coefficients must be nonnegative, got ({self.p}, {self.q})")
+        if not (0.0 <= self.p < math.inf and 0.0 <= self.q < math.inf):
+            raise GWIError(f"coefficients must be finite and >= 0, got ({self.p}, {self.q})")
 
 
 class RecursionTrace(NamedTuple):
@@ -136,8 +138,8 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
         n = _integer("n", n)
     if n < 1:
         raise GWIError("recursion horizon n must be >= 1")
-    if p < 0.0 or q < 0.0:
-        raise GWIError("recursion coefficients must be nonnegative")
+    if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):
+        raise GWIError(f"recursion coefficients must be finite and >= 0, got ({p}, {q})")
     return _fold(p, q, *map(float, lambda_weights(params, lam)), n)  # validates lambda
 
 
@@ -166,15 +168,6 @@ def _fold(p: float, q: float, bl: float, al: float, n: int) -> RecursionTrace:
             break
     # once a saturates, a_sum is inf and comp nan
     return RecursionTrace(a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum, k)
-
-
-def _phi_prime(params: ParamSet, lam: float, bl: float, x: float) -> float:
-    """phi'(x) by the arithmetic of ``phi_eval(params, lam, x).phi_prime``,
-    without its checks: for gamma != 0 and positive rates (SP2-SP4)."""
-    fa = params.beta_a * x + params.alpha_a
-    fh = params.beta_h * x + params.alpha_h
-    varphi = math.exp(lam * math.log(fa) + (1.0 - lam) * math.log(fh))
-    return varphi * (lam * params.beta_a / fa + (1.0 - lam) * params.beta_h / fh) - bl
 
 
 def _floor_x_max(params: ParamSet, lam: float) -> int:
@@ -294,48 +287,21 @@ class Constellation:
             pairs.append(self._horizontal())
         return tuple(pairs)
 
-    def _lattice(self, start: int = 0) -> Iterator[tuple[float, float]]:
-        """Yield (phi(x), varphi(x)) for x = start, start + 1, ... without end.
-
-        The arithmetic is exactly that of :func:`phi_eval` and
-        :func:`varphi_value`, so every value is bit-identical to theirs.
-        """
-        params, lam, (bl, al) = self.params, self.lam, self.weights
-        beta_a, beta_h, alpha_a, alpha_h = (params.beta_a, params.beta_h,
-                                            params.alpha_a, params.alpha_h)
-        lam_h, linear = 1.0 - lam, params.gamma == 0.0
-        p_lin, q_lin = self.star.p - al, self.star.q - bl
-        x = float(start)
-        while True:
-            fa = beta_a * x + alpha_a
-            fh = beta_h * x + alpha_h
-            if fa == 0.0 or fh == 0.0:
-                varphi = 0.0
-            else:
-                varphi = math.exp(lam * math.log(fa) + lam_h * math.log(fh))
-            phi = p_lin + q_lin * x if linear else varphi - (al + bl * x)
-            yield phi, varphi
-            x += 1.0
+    @_cached
+    def _phi(self):
+        """x -> (phi(x), varphi(x)): ``params._phi_kernel``, built on first use."""
+        return _phi_kernel(self.params, self.lam, *self.weights)
 
     def _at(self, x: int) -> tuple[float, float]:
-        """(phi(x), varphi(x)) of :meth:`_lattice`; the points below ``_KEPT``
-        are evaluated once, in order, and kept."""
+        """(phi(x), varphi(x)); the points below ``_KEPT`` are evaluated once,
+        in order, and kept."""
         points = self._points
         if x < len(points):
             return points[x]
         if x >= _KEPT:
-            return next(self._lattice(x))
-        points.extend(islice(self._lattice(len(points)), x + 1 - len(points)))
+            return self._phi(x)
+        points.extend(map(self._phi, range(len(points), x + 1)))
         return points[x]
-
-    def _walk(self) -> Iterator[tuple[float, float]]:
-        """:meth:`_lattice` from 0, the points below ``_KEPT`` evaluated once and kept."""
-        points = self._points
-        yield from points
-        for point in islice(self._lattice(len(points)), _KEPT - len(points)):
-            points.append(point)
-            yield point
-        yield from self._lattice(max(len(points), _KEPT))
 
     @_cached
     def _peak(self) -> tuple[int, float, float]:
@@ -409,7 +375,7 @@ class Constellation:
             self._at(head - 1)
         points = self._points[:head]
         if x_check >= _KEPT:
-            points = chain(points, islice(self._lattice(_KEPT), x_check + 1 - _KEPT))
+            points = chain(points, map(self._phi, range(_KEPT, x_check + 1)))
         for x, (phi, _) in enumerate(points):
             if phi > r + s * x + _MAJORANT_TOL:
                 raise GWIError(f"{pair.label} pair fails to dominate phi at x={x}")
@@ -432,7 +398,8 @@ class Constellation:
         """
         if self.case is not CaseTag.SP3D:
             raise CaseError(f"separation constant only defined on SP3d, got {self.case.value}")
-        scan = self._walk()
+        # the kept points, then the kernel streamed from the first point not kept
+        scan = chain(self._points, map(self._phi, count(len(self._points))))
         phi_0, varphi_0 = next(scan)
         eps = 1.0 - math.exp(phi_0)
         best = phi_0 - eps * math.exp(-varphi_0)

@@ -259,6 +259,8 @@ class TestErrors:
         (("classify", "--preset", "a7-sp2", "--beta-h", "nan"), "beta_h"),
         (("diffusion", "--eta", "0.5", "--kappa-a", "inf", "--kappa-h", "1", "--sigma", "1",
           "--x0-tilde", "1", "--lambda", "0.5", "--t", "1"), "kappa_a"),
+        (("bayes", "--preset", "a7-sp3b", "--n", "5", "--loss-a", "nan"), "losses"),
+        (("bayes", "--preset", "a7-sp3b", "--n", "5", "--loss-h", "inf"), "losses"),
     ])
     def test_non_finite_input_code(self, capsys, argv, field):
         code, out = run_json(capsys, *argv)

@@ -61,6 +61,20 @@ class TestDivergenceTransforms:
         with pytest.raises(GWIError):
             divergence_from_log_hellinger(0.1, 0.5)
 
+    @pytest.mark.parametrize("log_h", [math.nan, -math.inf])
+    def test_rejects_non_finite_log(self, log_h):
+        """nan gave (nan, nan) and -inf gave (4.0, inf)."""
+        with pytest.raises(GWIError, match="finite"):
+            divergence_from_log_hellinger(log_h, 0.5)
+
+    @pytest.mark.parametrize("field", ["loss_a", "loss_h"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_losses(self, field, value):
+        """loss_a = nan made bayes_risk_bounds return (0.0, nan) and
+        optimize_bayes_upper an order of None."""
+        with pytest.raises(GWIError, match="losses must be finite"):
+            DecisionConfig(**{field: value})
+
 
 class TestDistinguishability:
     def test_sp_cases_entirely_separated(self):
@@ -287,16 +301,21 @@ class TestOptimizeDerivesOnce:
 
 
 def _record_lattice(monkeypatch):
-    """Record, per Constellation, the x of every point its ``_lattice`` yields."""
+    """Record, per Constellation, the x of every point its phi kernel evaluates
+    (each Constellation builds its own kernel)."""
     points = {}
-    real = Constellation._lattice
+    real = recursions._phi_kernel
 
-    def lattice(self, start=0):
-        for x, point in enumerate(real(self, start), start):
-            points.setdefault(self, []).append(x)
-            yield point
+    def phi_kernel(*args):
+        kernel = real(*args)
 
-    monkeypatch.setattr(Constellation, "_lattice", lattice)
+        def recorded(x):
+            points.setdefault(recorded, []).append(x)
+            return kernel(x)
+
+        return recorded
+
+    monkeypatch.setattr(recursions, "_phi_kernel", phi_kernel)
     return points
 
 

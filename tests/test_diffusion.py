@@ -80,6 +80,22 @@ class TestApproxParams:
                     params.beta_a / params.beta_h, rel=1e-14
                 )
 
+    @pytest.mark.parametrize("m", [2.5, 3.0, True, math.nan, math.inf])
+    def test_step_must_be_an_integer(self, m):
+        """A fractional m returned a ParamSet and pre-limit bounds for a step
+        that does not exist; nan and inf were refused with misleading
+        messages."""
+        sde = SDEParams(0.5, 2, 1, 1, 1)
+        for call in (lambda: approx_params(sde, m), lambda: time_horizon(sde, m, 1.0),
+                     lambda: prelimit_log_bounds(sde, 0.5, 1.0, m, 3)):
+            with pytest.raises(GWIError, match="m must be an integer"):
+                call()
+
+    def test_numpy_integer_step_is_an_int(self):
+        sde = SDEParams(0.5, 2, 1, 1, 1)
+        assert approx_params(sde, np.int64(10)) == approx_params(sde, 10)
+        assert time_horizon(sde, np.int64(10), 1.0) == time_horizon(sde, 10, 1.0) == 10
+
     def test_inadmissible_m_reports_minimum(self):
         sde = SDEParams(eta=0.5, kappa_a=4.0, kappa_h=1.0, sigma=1.0, x0_tilde=1.0)
         with pytest.raises(AdmissibilityError) as excinfo:

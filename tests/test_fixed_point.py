@@ -15,6 +15,13 @@ def _random_q_beta(rng, margin=0.02):
 
 
 class TestSolveFixedPoint:
+    @pytest.mark.parametrize("q, beta_lambda", [(math.nan, 1.0), (0.5, math.inf),
+                                                (0.5, math.nan), (math.inf, 1.0)])
+    def test_non_finite_arguments_refused(self, q, beta_lambda):
+        """nan and inf used to pass both checks and return all-nan results."""
+        with pytest.raises(GWIError):
+            solve_fixed_point(q, beta_lambda)
+
     def test_constructed_root(self):
         """q = 0.5 e, beta_lambda = 1.5 has the exact root x0 = -1."""
         fp = solve_fixed_point(0.5 * math.e, 1.5)

@@ -1,6 +1,7 @@
 """Parameter validation, case classification and the phi machinery."""
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -143,6 +144,16 @@ class TestPhiEval:
 
     def test_equal_immigration_means_phi0_zero(self):
         assert phi_eval(ParamSet(0.8, 0.6, 2, 2), 0.5, 0.0).phi == pytest.approx(0.0, abs=1e-15)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -1.0])
+    def test_x_outside_the_domain_refused(self, x):
+        """phi_eval returned nan derivatives at nan and inf, and varphi_value
+        returned 0.77 at x = -1."""
+        params = ParamSet(0.8, 0.6, 2.0, 1.1)
+        with pytest.raises(GWIError, match="finite x >= 0"):
+            phi_eval(params, 0.5, x)
+        with pytest.raises(GWIError, match="finite x >= 0"):
+            varphi_value(params, 0.5, x)
 
     def test_ni_boundary_convention(self):
         # varphi(0) = 0 on NI, so phi(0) = 0 and phi is affine

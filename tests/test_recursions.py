@@ -3,7 +3,6 @@
 import dataclasses
 import math
 from fractions import Fraction
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from gwidiv import (
     sp3d_log_delta,
     upper_candidates,
 )
-from gwidiv.params import GWIError, _geometric_mean, phi_eval, varphi_value
+from gwidiv.params import GWIError, _geometric_mean, _phi_kernel, phi_eval, varphi_value
 from gwidiv import recursions
 from gwidiv.closed_form import (asymptotic_log_slope, closed_form_log_lower,
                                 closed_form_log_upper, closed_form_lower_terms,
@@ -101,6 +100,28 @@ class TestRunRecursion:
                 else:
                     finite = a[1:][np.isfinite(a[1:])]
                     assert np.all(finite > 0.0) and np.all(np.diff(finite) > 0.0)
+
+
+class TestNonFiniteCoefficients:
+    """A nan or infinite coefficient is refused before any step runs."""
+
+    PARAMS = ParamSet(0.8, 0.6, 2.0, 1.1)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 0.5), (math.inf, 0.5), (0.5, math.inf)])
+    def test_run_recursion_refuses(self, p, q):
+        with pytest.raises(GWIError, match="finite and >= 0"):
+            run_recursion(p, q, self.PARAMS, 0.5, 5)
+
+    def test_nan_slope_is_refused_before_the_loop(self):
+        """q = nan never repeats, so it used to run all n steps (a_n nan, b_sum inf)."""
+        with pytest.raises(GWIError, match="finite and >= 0"):
+            run_recursion(0.5, math.nan, self.PARAMS, 0.5, 10**9)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.5),
+                                      (0.5, math.inf)])
+    def test_coefficient_pair_refuses(self, p, q):
+        with pytest.raises(GWIError, match="finite and >= 0"):
+            CoefficientPair(p, q, CoeffRole.UPPER)
 
 
 class TestSelectCoeffs:
@@ -453,18 +474,28 @@ FLAT_HUMPS = [
 ]
 
 
+#: gamma is exactly 0.0 in floats, yet classify finds phi'(0) <= 0 (SP3a), so
+#: its majorant checks read the affine form of phi
+GAMMA_ZERO_SP3A = ParamSet(2208272.1629589596, 1.3388200155740742,
+                           7768091.752870571, 4.7095991590201)
+
+
 class TestLatticeScansMatchReference:
     LAMS = (0.05, 0.3, 0.5, 0.7, 0.95)
 
     def test_lattice_evaluator_is_phi_eval(self, rng, monkeypatch):
-        for case in ALL_CASES:
-            for lam in self.LAMS:
-                params = random_params(rng, case, lam)
-                for x, (phi, varphi) in zip(range(40), Constellation(params, lam)._lattice()):
-                    assert phi == phi_eval(params, lam, float(x)).phi
-                    assert varphi == varphi_value(params, lam, float(x))
-                for x, (phi, _) in zip(range(17, 20), Constellation(params, lam)._lattice(17)):
-                    assert phi == phi_eval(params, lam, float(x)).phi
+        """A Constellation's phi kernel gives phi_eval's phi and varphi_value's
+        varphi, at lattice and non-integer points, on every case and on an
+        input with gamma == 0.0 that is not NI or SP1."""
+        draws = [(random_params(rng, case, lam), lam) for case in ALL_CASES for lam in self.LAMS]
+        draws += [(GAMMA_ZERO_SP3A, lam) for lam in self.LAMS]
+        for params, lam in draws:
+            c = Constellation(params, lam)
+            if params is GAMMA_ZERO_SP3A:
+                assert params.gamma == 0.0 and c.case is CaseTag.SP3A
+            for x in [*map(float, range(40)), 0.5, 2.5, 17.25, 1000.1]:
+                assert c._phi(x) == (phi_eval(params, lam, x).phi,
+                                     varphi_value(params, lam, x)), (params, lam, x)
         # the bisection's phi' probe, at lattice points and at the midpoints
         # it visits, on seeded SP3b draws and on the flat humps
         probes = _count(monkeypatch, recursions, "_phi_prime")
@@ -589,20 +620,31 @@ class TestKeptLattice:
     peak or check length, and reading them back changes no value."""
 
     def test_walk_is_the_lattice(self, rng, monkeypatch):
-        """Indexed reads and the SP3d scan's walk give the streamed lattice,
-        and keep its first ``_KEPT`` points (none when ``_KEPT`` is 0)."""
+        """Indexed reads and the SP3d scan's walk read a streamed kernel.
+        Indexed reads keep the first ``_KEPT`` points (none when ``_KEPT`` is
+        0); the scan reads the kept points, then streams the kernel from the
+        first point not kept, keeps none of those and reads none twice."""
         params = random_params(rng, "SP3c", 0.5)
+        kernel = _phi_kernel(params, 0.5, *lambda_weights(params, 0.5))
+        sp3d = ParamSet(1.2, 1.0, 1.0, 300.0)  # x* = 1495: the scan runs past _KEPT
         for kept in (recursions._KEPT, 0):
             monkeypatch.setattr(recursions, "_KEPT", kept)
             c = Constellation(params, 0.5)
             for start in (5, 0, 2, 63, 64, 100):
                 assert [c._at(x) for x in range(start, start + 80)] == \
-                    list(islice(c._lattice(start), 80))
+                    [kernel(float(x)) for x in range(start, start + 80)]
                 assert len(c._points) == kept
-            c = Constellation(params, 0.5)
-            for _ in range(2):
-                assert list(islice(c._walk(), 100)) == list(islice(c._lattice(), 100))
-                assert len(c._points) == kept
+            for head in (0, 3, 64):
+                c = Constellation(sp3d, 0.5)
+                if head:
+                    c._at(head - 1)
+                prefix = len(c._points)
+                assert prefix == (head if head <= kept else 0)
+                read = []
+                c.__dict__["_phi"] = lambda x, phi=c._phi: read.append(x) or phi(x)
+                assert c.log_delta() == _ref_sp3d_log_delta(sp3d, 0.5)[0]
+                assert read == list(range(prefix, prefix + len(read)))
+                assert prefix + len(read) > 70 and len(c._points) == prefix
 
     def test_far_peak_is_read_without_the_points_below_it(self):
         c = Constellation(TINY_GAP, 0.5)
@@ -616,11 +658,17 @@ class TestKeptLattice:
 
     @pytest.mark.parametrize("fields", FAR_LATTICES)
     def test_far_lattices_match_a_streamed_lattice(self, fields, monkeypatch):
+        """Reports keep the kernel's values: ``_KEPT`` points after a long
+        majorant check, and on SP3d only the three its checks read (the scan
+        streams on from them).  They equal the reports of a Constellation
+        that keeps none."""
         params = ParamSet(*fields)
         for lam in (0.1, 0.5, 0.9):
+            kernel = _phi_kernel(params, lam, *lambda_weights(params, lam))
             c = Constellation(params, lam)
             kept = _outcome(lambda p: recursions._report(c, 2, 7), params)
-            assert len(c._points) == recursions._KEPT
+            assert len(c._points) == (3 if c.case is CaseTag.SP3D else recursions._KEPT)
+            assert c._points == [kernel(float(x)) for x in range(len(c._points))]
             with monkeypatch.context() as m:
                 m.setattr(recursions, "_KEPT", 0)
                 c = Constellation(params, lam)
