@@ -89,7 +89,7 @@ class CaseTag(enum.Enum):
 
 
 #: reading a member off CaseTag takes a metaclass hook on Python 3.11
-_NI, _SP1 = CaseTag.NI, CaseTag.SP1
+_NI, _SP1, _SP2, _SP3A, _SP3B, _SP3C, _SP3D, _SP4 = CaseTag
 
 
 def _integer(name: str, value) -> int:
@@ -205,11 +205,13 @@ class LambdaWeights(NamedTuple):
 
 
 def lambda_weights(params: ParamSet, lam: float) -> LambdaWeights:
-    lam = validate_order(lam)
-    return LambdaWeights(
-        beta_lambda=lam * params.beta_a + (1.0 - lam) * params.beta_h,
-        alpha_lambda=lam * params.alpha_a + (1.0 - lam) * params.alpha_h,
-    )
+    return _lambda_weights(params, validate_order(lam))
+
+
+def _lambda_weights(params: ParamSet, lam: float) -> LambdaWeights:
+    """``lambda_weights`` at a validated order lam."""
+    return LambdaWeights(lam * params.beta_a + (1.0 - lam) * params.beta_h,
+                         lam * params.alpha_a + (1.0 - lam) * params.alpha_h)
 
 
 def _geometric_mean(a: float, h: float, lam: float) -> float:
@@ -231,9 +233,13 @@ def phi0_prime(params: ParamSet, lam: float) -> float:
 
     This is the quantity whose sign splits SP3a from SP3b.
     """
-    ratio = params.alpha_a / params.alpha_h
-    bl, _ = lambda_weights(params, lam)
-    return _linear_majorant(params.beta_a, params.beta_h, ratio, lam) - bl
+    return _phi0_prime(params, validate_order(lam))
+
+
+def _phi0_prime(params: ParamSet, lam: float) -> float:
+    """``phi0_prime`` at a validated order lam."""
+    bl = _lambda_weights(params, lam)[0]
+    return _linear_majorant(params.beta_a, params.beta_h, params.alpha_a / params.alpha_h, lam) - bl
 
 
 def classify(params: ParamSet, lam: float) -> CaseTag:
@@ -243,22 +249,26 @@ def classify(params: ParamSet, lam: float) -> CaseTag:
     SP1 ratio test and the SP3c/SP3d integer test use the absolute tolerance
     ``RATIO_TOL`` since they involve derived quantities.
     """
-    validate_order(lam)
+    return _classify(params, validate_order(lam))
+
+
+def _classify(params: ParamSet, lam: float) -> CaseTag:
+    """``classify`` at a validated order lam."""
     if params.no_immigration:
-        return CaseTag.NI
+        return _NI
     if params.beta_a == params.beta_h:
-        return CaseTag.SP4
+        return _SP4
     if params.alpha_a == params.alpha_h:
-        return CaseTag.SP2
+        return _SP2
     if abs(params.alpha_a / params.alpha_h - params.beta_a / params.beta_h) <= RATIO_TOL:
-        return CaseTag.SP1
+        return _SP1
     x_star = params.x_star
     if x_star < 0.0:
-        return CaseTag.SP3A if phi0_prime(params, lam) <= 0.0 else CaseTag.SP3B
+        return _SP3A if _phi0_prime(params, lam) <= 0.0 else _SP3B
     nearest = round(x_star)
     if nearest >= 1 and abs(x_star - nearest) <= RATIO_TOL:
-        return CaseTag.SP3D
-    return CaseTag.SP3C
+        return _SP3D
+    return _SP3C
 
 
 def case_details(params: ParamSet, lam: float) -> dict:

@@ -21,20 +21,22 @@ from itertools import chain, count
 from typing import NamedTuple, Optional
 
 from .fixed_point import FixedPointResult, solve_fixed_point
+from .params import _SP2, _SP3A, _SP3B, _SP3C, _SP3D, _SP4  # CaseTag members
 from .params import (
     BoundOrderError,
     CaseError,
     CaseTag,
     GWIError,
     ParamSet,
+    _classify,
     _crossed,
     _geometric_mean,
     _initial_population,
     _integer,
+    _lambda_weights,
     _linear_majorant,
     _phi_kernel,
     _phi_prime,
-    classify,
     lambda_weights,
     validate_order,
 )
@@ -63,10 +65,10 @@ _KEPT = 64
 #: the cases where the horizontal majorant of phi is informative; those with
 #: a checked case pair, with a secant case pair, and with only the trivial
 #: majorant under goal (Gc)
-_HUMP_CASES = (CaseTag.SP3A, CaseTag.SP3B, CaseTag.SP3C)
-_CASE_PAIR_CASES = (CaseTag.SP2, *_HUMP_CASES)
+_HUMP_CASES = (_SP3A, _SP3B, _SP3C)
+_CASE_PAIR_CASES = (_SP2, *_HUMP_CASES)
 _SECANT_CASES = _HUMP_CASES[1:]
-_TRIVIAL_CASES = (CaseTag.SP3D, CaseTag.SP4)
+_TRIVIAL_CASES = (_SP3D, _SP4)
 
 _EXACT_ONLY = "case {} is exactly computable; request CoeffRole.EXACT instead"
 
@@ -79,7 +81,7 @@ class CoeffRole(enum.Enum):
     HORIZONTAL = "horizontal"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CoefficientPair:
     """(intercept p, slope q) of a linear bound p + q*x for varphi.
 
@@ -92,9 +94,12 @@ class CoefficientPair:
     role: CoeffRole
     label: str = ""
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p < math.inf and 0.0 <= self.q < math.inf):
-            raise GWIError(f"coefficients must be finite and >= 0, got ({self.p}, {self.q})")
+    def __init__(self, p: float, q: float, role: CoeffRole, label: str = "") -> None:
+        if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):
+            raise GWIError(f"coefficients must be finite and >= 0, got ({p}, {q})")
+        # frozen: the fields go straight into __dict__, as cached_property writes
+        d = self.__dict__
+        d["p"], d["q"], d["role"], d["label"] = p, q, role, label
 
 
 class RecursionTrace(NamedTuple):
@@ -140,34 +145,54 @@ def run_recursion(p: float, q: float, params: ParamSet, lam: float, n: int) -> R
         raise GWIError("recursion horizon n must be >= 1")
     if not (0.0 <= p < math.inf and 0.0 <= q < math.inf):
         raise GWIError(f"recursion coefficients must be finite and >= 0, got ({p}, {q})")
-    return _fold(p, q, *map(float, lambda_weights(params, lam)), n)  # validates lambda
+    bl, al = map(float, lambda_weights(params, lam))  # validates lambda
+    a_n, b_sum, steps = _bound_fold(p, q, bl, al, n)  # the a_k and steps of _exact_fold
+    return RecursionTrace(a_n, b_sum, _exact_fold(q, bl, n)[1], steps)
 
 
-def _fold(p: float, q: float, bl: float, al: float, n: int) -> RecursionTrace:
-    """``run_recursion`` on checked arguments and float weights bl, al."""
+def _bound_fold(p: float, q: float, bl: float, al: float, n: int) -> tuple[float, float, int]:
+    """``run_recursion``'s (a_n, b_sum, steps), for a bound: checked arguments, float weights."""
     # Python floats throughout: numpy scalars would warn on the inf - inf below.
     p, q = float(p), float(q)
-    a = b_sum = a_sum = comp = 0.0
+    a = b_sum = 0.0
     exp = math.exp
+    b_inf = math.inf if p > 0.0 else -al  # b_k once a saturates, never 0 * inf
     for k in range(1, n + 1):
         # the a_1 > 0 branch diverges doubly exponentially; saturate at inf.
-        # q = 0 needs no branch: e stays finite and 0*e - beta_lambda is exact
+        # q = 0 needs no branch: e stays finite and 0*e - beta_lambda is exact,
+        # as is p = 0: 0*e - alpha_lambda, whose zero sign neither sum keeps
+        if a < 709.0:
+            e = exp(a)
+            b = p * e - al
+        else:
+            e, b = math.inf, b_inf
+        prev, a = a, q * e - bl
+        b_sum += b
+        if a == prev:
+            return a, _tail(b_sum, b, n - k), k
+    return a, b_sum, n
+
+
+def _exact_fold(q: float, bl: float, n: int) -> tuple[float, float, int]:
+    """``run_recursion``'s (a_n, a_sum, steps), for an exact value: a checked q, a float bl."""
+    q = float(q)
+    a = a_sum = comp = 0.0
+    exp = math.exp
+    for k in range(1, n + 1):
         e = exp(a) if a < 709.0 else math.inf
         prev, a = a, q * e - bl
-        b_sum += p * e - al if p > 0.0 else -al
         # TwoSum: comp collects the exact rounding error of each addition
         t = a_sum + a
         z = t - a_sum
         comp += (a_sum - (t - z)) + (a - z)
         a_sum = t
         if a == prev:
-            b_sum = _tail(b_sum, p * e - al if p > 0.0 else -al, n - k)
             # zeros add exactly; a saturated a_sum stays what it is
             if a != 0.0 and math.isfinite(a_sum):
-                a_sum, comp = _tail(a_sum, a, n - k, comp), 0.0
+                return a, _tail(a_sum, a, n - k, comp), k
             break
     # once a saturates, a_sum is inf and comp nan
-    return RecursionTrace(a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum, k)
+    return a, a_sum + comp if math.isfinite(a_sum) else a_sum, k
 
 
 def _floor_x_max(params: ParamSet, lam: float) -> int:
@@ -178,7 +203,7 @@ def _floor_x_max(params: ParamSet, lam: float) -> int:
     midpoint stays inside [lo, hi] and the floor is then fixed.  When
     phi'(0) <= 0, phi' <= 0 everywhere, so the first midpoint fixes it at 0.
     """
-    bl = lambda_weights(params, lam)[0]
+    bl = _lambda_weights(params, lam)[0]
     lo, hi = 0.0, 1.0
     while _phi_prime(params, lam, bl, hi) > 0.0:
         lo = hi
@@ -215,17 +240,21 @@ class Constellation:
     Majorants of phi are built, and checked on the lattice, on first use.
     The SP3b/SP3c case pair and the horizontal pair read one lattice peak,
     ``_peak``, found once per instance; ``fixed_point`` solves once per slope.
+
+    The memo shares an instance between callers and threads, so nothing a
+    caller may have read changes in place: a longer kept prefix is a new list
+    and a cached member is stored complete.  A race may compute a value twice.
     """
 
     def __init__(self, params: ParamSet, lam: float) -> None:
         self.params = params
-        self.lam = validate_order(lam)
-        self.case = classify(params, self.lam)
-        self.weights = bl, al = lambda_weights(params, self.lam)
+        self.lam = lam = validate_order(lam)
+        self.case = _classify(params, lam)
+        self.weights = bl, al = _lambda_weights(params, lam)
         self._fold_weights = float(bl), float(al)
         role = CoeffRole.EXACT if self.case.exactly_computable else CoeffRole.LOWER
-        p_e = _geometric_mean(params.alpha_a, params.alpha_h, self.lam)
-        q_e = _geometric_mean(params.beta_a, params.beta_h, self.lam)
+        p_e = _geometric_mean(params.alpha_a, params.alpha_h, lam)
+        q_e = _geometric_mean(params.beta_a, params.beta_h, lam)
         self.star = CoefficientPair(min(p_e, al), min(q_e, bl), role, "geometric-mean")
         self._fixed_points: dict[tuple, FixedPointResult] = {}
         self._points: list[tuple[float, float]] = []
@@ -268,7 +297,7 @@ class Constellation:
         # secant(0,1) from p = varphi(0) (alpha itself on SP2); on SP3a this is
         # the discrete tangent-or-secant through x=1 with the smallest admissible
         # intercept, which always satisfies the x=2 domination constraint
-        p = params.alpha_a if case is CaseTag.SP2 else self.star.p
+        p = params.alpha_a if case is _SP2 else self.star.p
         q = _geometric_mean(params.alpha_a + params.beta_a, params.alpha_h + params.beta_h,
                             self.lam) - p
         return self._require_majorant(
@@ -281,7 +310,7 @@ class Constellation:
         if case.exactly_computable:
             raise CaseError(_EXACT_ONLY.format(case.value))
         pairs = [self.upper] if case in _CASE_PAIR_CASES else []
-        if case is not CaseTag.SP4:
+        if case is not _SP4:
             pairs.append(self._require_majorant(self.asymptote))
         if case in _HUMP_CASES:
             pairs.append(self._horizontal())
@@ -295,13 +324,14 @@ class Constellation:
     def _at(self, x: int) -> tuple[float, float]:
         """(phi(x), varphi(x)); the points below ``_KEPT`` are evaluated once,
         in order, and kept."""
+        return self._kept(x + 1)[x] if x < _KEPT else self._phi(x)
+
+    def _kept(self, m: int) -> list[tuple[float, float]]:
+        """The kept points (phi(x), varphi(x)) from x = 0, at least m <= ``_KEPT``."""
         points = self._points
-        if x < len(points):
-            return points[x]
-        if x >= _KEPT:
-            return self._phi(x)
-        points.extend(map(self._phi, range(len(points), x + 1)))
-        return points[x]
+        if len(points) < m:
+            self._points = points = points + list(map(self._phi, range(len(points), m)))
+        return points
 
     @_cached
     def _peak(self) -> tuple[int, float, float]:
@@ -311,10 +341,10 @@ class Constellation:
         lattice maximum is phi(j) or phi(j+1).
         """
         params, lam, case = self.params, self.lam, self.case
-        if case is CaseTag.SP3B:
+        if case is _SP3B:
             j = _floor_x_max(params, lam)
         else:
-            j = math.floor(params.x_star) if case is CaseTag.SP3C else 0
+            j = math.floor(params.x_star) if case is _SP3C else 0
         phi_j1 = self._at(j + 1)[0]  # extends the kept prefix once
         return j, self._at(j)[0], phi_j1
 
@@ -371,9 +401,7 @@ class Constellation:
         else:
             x_check = max(2, math.ceil((r_t - r) / (s - s_t)) + 1)
         head = min(x_check + 1, _KEPT)
-        if head:
-            self._at(head - 1)
-        points = self._points[:head]
+        points = self._kept(head)[:head]
         if x_check >= _KEPT:
             points = chain(points, map(self._phi, range(_KEPT, x_check + 1)))
         for x, (phi, _) in enumerate(points):
@@ -396,10 +424,11 @@ class Constellation:
         few ulps of max(1, varphi), so best is also the float a scan over every
         lattice point would return.  The scan gives up after 10^7 points.
         """
-        if self.case is not CaseTag.SP3D:
+        if self.case is not _SP3D:
             raise CaseError(f"separation constant only defined on SP3d, got {self.case.value}")
         # the kept points, then the kernel streamed from the first point not kept
-        scan = chain(self._points, map(self._phi, count(len(self._points))))
+        points = self._points
+        scan = chain(points, map(self._phi, count(len(points))))
         phi_0, varphi_0 = next(scan)
         eps = 1.0 - math.exp(phi_0)
         best = phi_0 - eps * math.exp(-varphi_0)
@@ -447,7 +476,7 @@ def select_coeffs(params: ParamSet, lam: float, role: CoeffRole) -> CoefficientP
     if role is CoeffRole.LOWER:
         return c.star
     if role is CoeffRole.ASYMPTOTE:
-        if case is CaseTag.SP4:
+        if case is _SP4:
             raise CaseError("asymptote pair degenerates to the trivial bound on SP4")
         return c._require_majorant(c.asymptote)
     if role is CoeffRole.HORIZONTAL:
@@ -462,7 +491,7 @@ def upper_candidates(params: ParamSet, lam: float) -> list[CoefficientPair]:
     return list(_constellation(params, lam).uppers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LogBoundReport:
     """Log-scale Hellinger report: lower/upper bounds, exact value if any."""
 
@@ -472,25 +501,26 @@ class LogBoundReport:
     method: str
     case: CaseTag
 
-    def __post_init__(self) -> None:
-        for name in ("log_lower", "log_upper", "log_exact"):
-            value = getattr(self, name)
+    def __init__(self, log_lower: float, log_upper: float, log_exact: Optional[float],
+                 method: str, case: CaseTag) -> None:
+        for name, value in (("log_lower", log_lower), ("log_upper", log_upper),
+                            ("log_exact", log_exact)):
             if value is not None and not math.isfinite(value):
                 raise GWIError(f"{name} is {value}, not a finite double")
-        if self.log_upper > 0.0:
+        if log_upper > 0.0:
             raise GWIError("log_upper must be <= 0 (H <= 1)")
-        if _crossed(self.log_lower, self.log_upper):
-            raise BoundOrderError(
-                f"log_lower {self.log_lower!r} exceeds log_upper {self.log_upper!r}")
-        if self.log_exact is not None:
-            if not self.log_lower <= self.log_exact <= self.log_upper:
-                raise GWIError("exact value must lie between the bounds")
+        if _crossed(log_lower, log_upper):
+            raise BoundOrderError(f"log_lower {log_lower!r} exceeds log_upper {log_upper!r}")
+        if log_exact is not None and not log_lower <= log_exact <= log_upper:
+            raise GWIError("exact value must lie between the bounds")
+        self.__dict__.update(log_lower=log_lower, log_upper=log_upper, log_exact=log_exact,
+                             method=method, case=case)  # as in CoefficientPair
 
 
 def _log_end(pair: CoefficientPair, c: Constellation, omega0: int, n: int) -> float:
     """log of exp{a_n*omega0 + sum_{k<=n} b_k} for ``pair`` (no cutoff at 1)."""
-    trace = _fold(pair.p, pair.q, *c._fold_weights, n)
-    return trace.a_n * omega0 + trace.b_sum
+    a_n, b_sum, _ = _bound_fold(pair.p, pair.q, *c._fold_weights, n)
+    return a_n * omega0 + b_sum
 
 
 def _exact(c: Constellation, omega0: int, n: int) -> float:
@@ -498,11 +528,11 @@ def _exact(c: Constellation, omega0: int, n: int) -> float:
     beyond the double range."""
     if n == 0:
         return 0.0
-    trace = _fold(c.star.p, c.star.q, *c._fold_weights, n)
-    value = trace.a_n * omega0
+    a_n, a_sum, _ = _exact_fold(c.star.q, c._fold_weights[0], n)
+    value = a_n * omega0
     # the immigration term vanishes on NI, where 0 * a_sum may be 0 * -inf
     if not c.params.no_immigration:
-        value += c.params.alpha_a / c.params.beta_a * trace.a_sum
+        value += c.params.alpha_a / c.params.beta_a * a_sum
     if not math.isfinite(value):
         raise GWIError(f"log_exact is {value}, not a finite double")
     return value
@@ -523,7 +553,7 @@ def _report(c: Constellation, omega0: int, n: int) -> LogBoundReport:
         value = _log_end(pair, c, omega0, n)
         if value < best_upper:
             best_upper, best_label = value, pair.label
-    if c.case is CaseTag.SP3D:
+    if c.case is _SP3D:
         value = (n // 2) * c.log_delta()
         if value < best_upper:
             best_upper, best_label = value, "separation-delta"

@@ -251,7 +251,7 @@ class TestOptimizeDerivesOnce:
     def test_counts(self, rng, monkeypatch):
         built, classified, public = [], [], []
         monkeypatch.setattr(Constellation, "__init__", _recorder(built, Constellation.__init__))
-        monkeypatch.setattr(recursions, "classify", _recorder(classified, recursions.classify))
+        monkeypatch.setattr(recursions, "_classify", _recorder(classified, recursions._classify))
         monkeypatch.setattr(recursions, "run_recursion",
                             _recorder(public, recursions.run_recursion))
         points = _record_lattice(monkeypatch)

@@ -1,6 +1,7 @@
 """Backbone recursions, coefficient selection and recursive bounds."""
 
 import dataclasses
+import inspect
 import math
 from fractions import Fraction
 
@@ -676,6 +677,27 @@ class TestKeptLattice:
                 assert c._points == []
             assert kept == streamed, (fields, lam)
 
+    def test_a_nested_read_leaves_every_point_at_its_x(self, rng):
+        """The memo shares a Constellation, so a read may arrive while another
+        is still extending the kept prefix (from a second thread; here from
+        the kernel).  A list extended in place then ends with 12 entries,
+        phi(3) at index 6."""
+        c = Constellation(random_params(rng, "SP3c", 0.5), 0.5)
+        kernel = c._phi
+        c._at(2)
+        nested = []
+
+        def reentrant(x):
+            if x == 3 and not nested:
+                nested.append(None)
+                nested.append(c._at(5))
+            return kernel(x)
+
+        c.__dict__["_phi"] = reentrant
+        assert c._at(8) == kernel(8.0)
+        assert nested == [None, kernel(5.0)]
+        assert c._points == [kernel(float(x)) for x in range(9)]
+
 
 class TestLockFreeCaches:
     """``asymptote``, ``upper``, ``uppers`` and ``_peak`` are computed once per
@@ -752,8 +774,8 @@ class TestDerivedOnce:
         points.append((ParamSet(0.8, 0.6, 2.0, 1.1), 0.5))
         points += [(params, lam) for params, lam, _ in FLAT_HUMPS]
         calls = []
-        real = recursions.classify
-        monkeypatch.setattr(recursions, "classify", lambda *a: calls.append(a) or real(*a))
+        real = recursions._classify
+        monkeypatch.setattr(recursions, "_classify", lambda *a: calls.append(a) or real(*a))
         for params, lam in points:
             calls.clear()
             recursive_log_bounds(params, lam, 3, 10)
@@ -775,7 +797,7 @@ class TestDerivedOnce:
         a repeat on the same ParamSet object takes it from the memo."""
         points = [(random_params(rng, case), 0.5) for case in ALL_CASES]
         points += [(params, lam) for params, lam, _ in FLAT_HUMPS]
-        calls = _count(monkeypatch, recursions, "classify")
+        calls = _count(monkeypatch, recursions, "_classify")
         for params, lam in points:
             for n in (0, 1, 10):
                 fresh = dataclasses.replace(params)
@@ -785,7 +807,7 @@ class TestDerivedOnce:
                     assert len(calls) == expected, (params, n)
 
     def test_one_classify_per_closed_form(self, rng, monkeypatch):
-        calls = _count(monkeypatch, recursions, "classify")
+        calls = _count(monkeypatch, recursions, "_classify")
         for case in ALL_CASES[:-1]:
             params = random_params(rng, case)
             bounds = [closed_form_log_lower] + ([closed_form_log_upper] if case != "SP3d" else [])
@@ -799,7 +821,7 @@ class TestDerivedOnce:
     def test_one_classify_per_report(self, rng, monkeypatch):
         """log_hellinger_bounds and both closed forms on one ParamSet object,
         as the ``hellinger`` command makes them, classify once."""
-        calls = _count(monkeypatch, recursions, "classify")
+        calls = _count(monkeypatch, recursions, "_classify")
         for case in ALL_CASES:
             params = random_params(rng, case)
             calls.clear()
@@ -821,7 +843,7 @@ class TestDerivedOnce:
                 assert len(solves) == expected, (case, params)
 
     def test_prelimit_classifies_once_and_solves_once(self, monkeypatch):
-        classified = _count(monkeypatch, recursions, "classify")
+        classified = _count(monkeypatch, recursions, "_classify")
         solves = _count(monkeypatch, recursions, "solve_fixed_point")
         for sde in (SDEParams(0.5, 2.0, 1.0, 1.0, 1.0), SDEParams(1.0, 0.5, 2.0, 1.0, 1.0),
                     SDEParams(0.0, 0.0, 1.0, 1.0, 2.0)):
@@ -864,7 +886,7 @@ class TestConstellationMemo:
     def test_equal_params_of_another_type_miss(self, monkeypatch):
         """Equal ParamSets that are separate objects (numpy fields, -0.0 for
         0.0) each build their own Constellation and get a fresh build's result."""
-        classified = _count(monkeypatch, recursions, "classify")
+        classified = _count(monkeypatch, recursions, "_classify")
         for fields in ((0.8, 0.6, 2.0, 1.1), (0.8, 0.6, 0.0, 0.0)):
             variants = (ParamSet(*map(np.float64, fields)), ParamSet(*fields),
                         ParamSet(*(-0.0 if f == 0.0 else f for f in fields)))
@@ -961,6 +983,41 @@ def test_report_refuses_crossed_bounds():
     LogBoundReport(-200.0 + 1e-10, -200.0, None, "test", CaseTag.SP2)
     with pytest.raises(BoundOrderError, match="exceeds log_upper"):
         LogBoundReport(-200.0 + 1e-9, -200.0, None, "test", CaseTag.SP2)
+
+
+class TestValueObjects:
+    """CoefficientPair and LogBoundReport check their arguments in a written
+    __init__ and store the fields directly; they stay frozen dataclasses."""
+
+    PAIR = {"p": 0.5, "q": 0.25, "role": CoeffRole.UPPER, "label": "x"}
+    REPORT = {"log_lower": -2.0, "log_upper": -1.0, "log_exact": -1.5, "method": "m",
+              "case": CaseTag.SP2}
+
+    @pytest.mark.parametrize("cls, fields, bad, message", [
+        (CoefficientPair, PAIR, {"q": -1.0}, "finite and >= 0"),
+        (LogBoundReport, REPORT, {"log_upper": 0.5}, r"log_upper must be <= 0 \(H <= 1\)"),
+        (LogBoundReport, REPORT, {"log_exact": -2.5}, "exact value must lie between the bounds"),
+        (LogBoundReport, REPORT, {"log_lower": -0.5}, "log_lower -0.5 exceeds log_upper -1.0"),
+    ])
+    def test_dataclass_surface(self, cls, fields, bad, message):
+        obj = cls(*fields.values())
+        assert vars(obj) == dataclasses.asdict(obj) == fields
+        twin = cls(**fields)
+        assert obj == twin and hash(obj) == hash(twin) and repr(obj) == repr(twin)
+        empty = inspect.Parameter.empty
+        assert [(p.name, p.default) for p in inspect.signature(cls).parameters.values()] == \
+            [(f.name, empty if f.default is dataclasses.MISSING else f.default)
+             for f in dataclasses.fields(cls)]
+        for name in fields:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, name, fields[name])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, name)
+        assert dataclasses.replace(obj) == obj
+        with pytest.raises(GWIError, match=message):
+            dataclasses.replace(obj, **bad)
+        with pytest.raises(GWIError, match=message):
+            cls(**{**fields, **bad})
 
 
 def test_dispatcher_rejects_omega0_below_one_at_every_horizon(rng):
@@ -1326,6 +1383,104 @@ class TestFastForward:
             long = run_recursion(pair.p, pair.q, params, lam, 10**9)
             assert short.steps == long.steps < 10**5, pair.label
             assert long.a_n == short.a_n
+
+
+def _combined_fold(p, q, bl, al, n):
+    """(a_n, b_sum, a_sum, steps): a copy of the one fold that computed both
+    sums on every step before the reports got a fold each."""
+    p, q = float(p), float(q)
+    a = b_sum = a_sum = comp = 0.0
+    exp = math.exp
+    for k in range(1, n + 1):
+        e = exp(a) if a < 709.0 else math.inf
+        prev, a = a, q * e - bl
+        b_sum += p * e - al if p > 0.0 else -al
+        t = a_sum + a
+        z = t - a_sum
+        comp += (a_sum - (t - z)) + (a - z)
+        a_sum = t
+        if a == prev:
+            b_sum = _tail(b_sum, p * e - al if p > 0.0 else -al, n - k)
+            if a != 0.0 and math.isfinite(a_sum):
+                a_sum, comp = _tail(a_sum, a, n - k, comp), 0.0
+            break
+    return a, b_sum, a_sum + comp if math.isfinite(a_sum) else a_sum, k
+
+
+def _typed_bits(values):
+    """Each value's type name, and its float.hex where it is a float."""
+    return [(type(v).__name__, float(v).hex() if isinstance(v, float) else v) for v in values]
+
+
+class TestLeanFolds:
+    """A bound report folds a_n and the b-sum, an exact value a_n and the
+    compensated a-sum; each equals the combined fold's, bit for bit and type
+    for type, and run_recursion joins the two folds into its trace."""
+
+    LAMBDAS = (0.1, 0.3, 0.5, 0.7, 0.9)
+    HORIZONS = (1, 2, 7, 1000, 10**5)
+
+    def _assert_folds(self, c, pairs, label):
+        bl, al = c._fold_weights
+        stopped = 0
+        for pair in pairs:
+            for n in self.HORIZONS:
+                a_n, b_sum, a_sum, steps = want = _combined_fold(pair.p, pair.q, bl, al, n)
+                where = (label, c.params, c.lam, pair, n)
+                assert _typed_bits(recursions._bound_fold(pair.p, pair.q, bl, al, n)) == \
+                    _typed_bits((a_n, b_sum, steps)), where
+                assert _typed_bits(recursions._exact_fold(pair.q, bl, n)) == \
+                    _typed_bits((a_n, a_sum, steps)), where
+                assert _typed_bits([recursions._log_end(pair, c, 3, n)]) == \
+                    _typed_bits([a_n * 3 + b_sum]), where
+                trace = run_recursion(pair.p, pair.q, c.params, c.lam, n)
+                assert _typed_bits(trace) == _typed_bits(want), where
+                stopped += steps < n
+        return stopped
+
+    def test_every_case_pair(self, rng):
+        stopped = 0
+        for lam in self.LAMBDAS:
+            for case in ALL_CASES:
+                params = random_params(rng, case, lam)
+                c = Constellation(params, lam)
+                pairs = [c.star] if c.case.exactly_computable else [c.star, c.upper, *c.uppers]
+                stopped += self._assert_folds(c, pairs, case)
+        assert stopped  # most pairs stop at a repeat of a_k long before 10^5
+
+    def test_exact_values(self, rng):
+        """On NI/SP1, numpy ParamSet fields included, ``_exact`` is the
+        combined fold's a_n*omega0 + (alpha_a/beta_a)*a_sum, of the same type."""
+        for lam in self.LAMBDAS:
+            for case in ("NI", "SP1"):
+                drawn = random_params(rng, case, lam)
+                fields = dataclasses.astuple(drawn)
+                for params in (drawn, ParamSet(*map(float, fields))):
+                    c = Constellation(params, lam)
+                    for n in self.HORIZONS:
+                        a_n, _, a_sum, _ = _combined_fold(c.star.p, c.star.q,
+                                                          *c._fold_weights, n)
+                        want = a_n * 3
+                        if case == "SP1":
+                            want += params.alpha_a / params.beta_a * a_sum
+                        got = recursions._exact(c, 3, n)
+                        assert _typed_bits([got]) == _typed_bits([want]), (case, lam, n)
+
+    def test_edge_pairs(self, rng):
+        """p = 0, a saturating slope, q = 0, a slope that freezes a at once and
+        numpy-float coefficients."""
+        for lam in self.LAMBDAS:
+            c = Constellation(random_params(rng, "SP3a", lam), lam)
+            bl, al = c._fold_weights
+            pairs = [CoefficientPair(p, q, CoeffRole.UPPER) for p, q in (
+                (0.0, 1.5 * bl), (1.0, 1.5 * bl), (0.0, 0.5 * bl), (1.0, 0.0), (0.0, 0.0),
+                (al, bl), (1.3, bl), (np.float64(0.7), np.float64(0.5 * bl)),
+                (np.float64(0.0), np.float64(1.5 * bl)))]
+            assert self._assert_folds(c, pairs, "edge")
+        saturated = recursions._bound_fold(0.0, 1.5 * bl, bl, al, 40)
+        assert saturated[0] == math.inf and saturated[2] < 40
+        assert recursions._exact_fold(1.5 * bl, bl, 40)[1] == math.inf
+        assert recursions._bound_fold(1.3, bl, bl, al, 10**9)[2] == 1
 
 
 def _exact_fold_sums(p, q, params, lam, n, steps):
